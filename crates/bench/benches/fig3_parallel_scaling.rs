@@ -13,12 +13,48 @@
 //! modeling phase is a fixed multiple of the covariance factorization.
 //! Expected shape: modeling time grows ~8× per ε doubling, search ~4×, and
 //! the multi-worker run is several times faster at the largest size.
+//!
+//! Timing protocol: each ε runs both worker counts once untimed (thread
+//! starts, page faults, cold caches), then [`REPEATS`] timed pairs with the
+//! worker order alternating, so neither count always runs first. A cell
+//! prints the median phase time per worker count and the median and
+//! interquartile range of the per-pair speedups.
 
 use gptune::apps::{AnalyticalApp, HpcApp};
+use gptune::core::TuningProblem;
 use gptune::core::{mla, MlaOptions};
 use gptune::problem_from_app;
 use gptune_bench::banner;
 use std::sync::Arc;
+
+/// Timed (1-worker, N-worker) pairs per ε.
+const REPEATS: usize = 5;
+
+/// Modeling and search wall seconds of one MLA iteration at `eps` samples
+/// per task with `workers` threads for every phase.
+fn phases(problem: &TuningProblem, eps: usize, workers: usize) -> [f64; 2] {
+    let mut opts = MlaOptions::default().with_budget(eps).with_seed(9);
+    opts.n_initial = Some(eps - 1); // exactly one MLA iteration
+    opts.log_objective = false;
+    opts.lcm.n_starts = 4;
+    opts.lcm.lbfgs.max_iters = 6;
+    opts.model_workers = workers;
+    opts.search_workers = workers;
+    opts.eval_workers = workers;
+    opts.pso.particles = 30;
+    opts.pso.iters = 20;
+    let r = mla::tune(problem, &opts);
+    [
+        r.stats.modeling_wall.as_secs_f64(),
+        r.stats.search_wall.as_secs_f64(),
+    ]
+}
+
+/// `[q1, median, q3]` by nearest rank.
+fn quartiles(mut v: Vec<f64>) -> [f64; 3] {
+    v.sort_by(f64::total_cmp);
+    [0.25, 0.5, 0.75].map(|p| v[((v.len() - 1) as f64 * p).round() as usize])
+}
 
 fn main() {
     banner(
@@ -41,60 +77,54 @@ fn main() {
     }
 
     println!(
-        "\n{:>6} {:>7} | {:>12} {:>12} {:>8} {:>7} | {:>12} {:>12} {:>8} {:>7}",
+        "\n{:>4} {:>5} | {:>10} {:>10} {:>7} {:>13} {:>6} | {:>10} {:>10} {:>7} {:>13} {:>6}",
         "eps",
         "N=δ·ε",
         "model(1w)",
         &format!("model({many}w)"),
         "speedup",
+        "IQR",
         "growth",
         "search(1w)",
         &format!("search({many}w)"),
         "speedup",
+        "IQR",
         "growth"
     );
 
-    let mut prev: Option<(f64, f64)> = None;
+    let mut prev: Option<[f64; 2]> = None;
     for &eps in &[5usize, 10, 20, 40] {
-        let mut results = Vec::new();
-        for workers in [1usize, many] {
-            let mut opts = MlaOptions::default().with_budget(eps).with_seed(9);
-            opts.n_initial = Some(eps - 1); // exactly one MLA iteration
-            opts.log_objective = false;
-            opts.lcm.n_starts = 4;
-            opts.lcm.lbfgs.max_iters = 6;
-            opts.model_workers = workers;
-            opts.search_workers = workers;
-            opts.eval_workers = workers;
-            opts.pso.particles = 30;
-            opts.pso.iters = 20;
-            let r = mla::tune(&problem, &opts);
-            results.push((
-                r.stats.modeling_wall.as_secs_f64(),
-                r.stats.search_wall.as_secs_f64(),
-            ));
+        for workers in [1, many] {
+            phases(&problem, eps, workers);
         }
-        let (m1, s1) = results[0];
-        let (mw, sw) = results[1];
-        // Growth per ε-doubling: ≈8 for the O(N³) modeling phase, ≈4 for
-        // the O(N²) search phase.
-        let (gm, gs) = prev
-            .map(|(pm, ps)| (m1 / pm.max(1e-12), s1 / ps.max(1e-12)))
-            .unwrap_or((f64::NAN, f64::NAN));
-        println!(
-            "{:>6} {:>7} | {:>11.3}s {:>11.3}s {:>7.2}x {:>6.1}x | {:>11.3}s {:>11.3}s {:>7.2}x {:>6.1}x",
-            eps,
-            eps * 20,
-            m1,
-            mw,
-            m1 / mw.max(1e-12),
-            gm,
-            s1,
-            sw,
-            s1 / sw.max(1e-12),
-            gs
-        );
-        prev = Some((m1, s1));
+        let mut pairs = Vec::with_capacity(REPEATS);
+        for rep in 0..REPEATS {
+            let (one, par) = if rep % 2 == 0 {
+                let one = phases(&problem, eps, 1);
+                (one, phases(&problem, eps, many))
+            } else {
+                let par = phases(&problem, eps, many);
+                (phases(&problem, eps, 1), par)
+            };
+            pairs.push((one, par));
+        }
+        // Per phase (modeling, search): median seconds at 1 and N workers.
+        let one = [0, 1].map(|ph| quartiles(pairs.iter().map(|p| p.0[ph]).collect())[1]);
+        let par = [0, 1].map(|ph| quartiles(pairs.iter().map(|p| p.1[ph]).collect())[1]);
+        let cells = [0, 1].map(|ph| {
+            let speedups = pairs.iter().map(|p| p.0[ph] / p.1[ph].max(1e-12));
+            let [lo, mid, hi] = quartiles(speedups.collect());
+            // Growth per ε-doubling: ≈8 for the O(N³) modeling phase, ≈4
+            // for the O(N²) search phase.
+            let growth = prev.map_or(f64::NAN, |p| one[ph] / p[ph].max(1e-12));
+            let iqr = format!("[{lo:.2}, {hi:.2}]");
+            format!(
+                "{:>9.3}s {:>9.3}s {mid:>6.2}x {iqr:>13} {growth:>5.1}x",
+                one[ph], par[ph]
+            )
+        });
+        println!("{eps:>4} {:>5} | {}", eps * 20, cells.join(" | "));
+        prev = Some(one);
     }
 
     println!("\nShape check vs paper: the modeling-phase growth column approaches 8x per ε");

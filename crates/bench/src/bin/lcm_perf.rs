@@ -8,8 +8,8 @@
 //! * candidate scoring: [`LcmModel::predict_batch`] vs per-point
 //!   [`LcmModel::predict`] (and the retained `predict_reference`) over
 //!   m = 512 candidates — the batch must score ≥ 4× faster per candidate;
-//! * substrate kernels behind Fig. 3's phase times: GEMM and the blocked
-//!   Cholesky, each sequential vs `par`; a 5-task, 1-D LCM likelihood and
+//! * substrate kernels behind Fig. 3's phase times: [`Cholesky::factor`]
+//!   at n ∈ {128, 512, 1024}; a 5-task, 1-D LCM likelihood and
 //!   single-start fit at n ∈ {100, 200}; one EI evaluation; and a 2-D PSO
 //!   search (30 particles × 30 iterations).
 //!
@@ -21,11 +21,10 @@
 
 use gptune::gp::gp::expected_improvement;
 use gptune::gp::{LcmFitOptions, LcmHyperparams, LcmModel, Prediction};
-use gptune::la::{blas, Cholesky, CholeskyOptions, Matrix};
+use gptune::la::{blas, par, Cholesky, Matrix};
 use gptune::opt::lbfgs::LbfgsOptions;
 use gptune::opt::pso::{self, PsoOptions};
 use gptune::rng::{Rng, SeedableRng, StdRng};
-use gptune::runtime::with_pool;
 use std::time::Instant;
 
 const DIM: usize = 4;
@@ -129,11 +128,10 @@ fn single_ns<F: FnMut() -> f64>(reps: usize, sink: &mut f64, mut f: F) -> f64 {
 }
 
 fn main() {
-    // Every fit, factorization and batched prediction below runs at the
-    // machine's width, so restarts, row panels and prediction chunks are
-    // timed in parallel on all cores.
+    // Every fit and batched prediction below runs at the machine's width,
+    // so restarts and prediction chunks are timed in parallel on all cores.
     let width = std::thread::available_parallelism().map_or(1, |n| n.get());
-    with_pool(width, run);
+    par::with_width(width, run);
 }
 
 fn run() {
@@ -221,33 +219,17 @@ fn run() {
     );
     let (batch, pt, pt_ref) = (batch / m, pt / m, pt_ref / m);
 
-    // --- GEMM and blocked Cholesky: `par` vs sequential -------------------
-    let mut gemm_rows = Vec::new();
-    for &n in &[64usize, 128, 256] {
-        let a = Matrix::from_fn(n, n, |i, j| ((i + j) % 7) as f64);
-        let b = Matrix::from_fn(n, n, |i, j| ((i * j) % 5) as f64);
-        let (par, seq, speedup) = paired_ns(
-            9,
-            &mut sink,
-            || blas::par_matmul(&a, &b).get(n - 1, n - 1),
-            || blas::matmul(&a, &b).get(n - 1, n - 1),
-        );
-        gemm_rows.push((n, seq, par, speedup));
-    }
-    let mut chol_rows = Vec::new();
-    for &n in &[128usize, 256, 512] {
-        let a = spd(n);
-        let (par, seq, speedup) = paired_ns(
-            7,
-            &mut sink,
-            || {
-                Cholesky::factor_parallel(&a, &CholeskyOptions::default())
-                    .map_or(f64::NAN, |c| c.log_det())
-            },
-            || Cholesky::factor(&a).map_or(f64::NAN, |c| c.log_det()),
-        );
-        chol_rows.push((n, seq, par, speedup));
-    }
+    // --- Cholesky factor ---------------------------------------------------
+    let chol_rows: Vec<(usize, f64)> = [128usize, 512, 1024]
+        .iter()
+        .map(|&n| {
+            let a = spd(n);
+            let ns = single_ns(7, &mut sink, || {
+                Cholesky::factor(&a).map_or(f64::NAN, |c| c.log_det())
+            });
+            (n, ns)
+        })
+        .collect();
 
     // --- 5-task LCM: one likelihood+gradient, one single-start fit --------
     let hp5 = LcmHyperparams {
@@ -326,20 +308,14 @@ fn run() {
          \"speedup_batch_vs_point\": {pt_speedup:.2}, \
          \"speedup_batch_vs_reference\": {ref_speedup:.2}}},\n",
     ));
-    let pairs = |name: &str, par: &str, rows: &[(usize, f64, f64, f64)]| {
-        let rows: Vec<String> = rows
-            .iter()
-            .map(|(n, seq, p, speedup)| {
-                format!(
-                    "    \"n{n}\": {{\"sequential_ns\": {seq:.0}, \"{par}_ns\": {p:.0}, \
-                     \"speedup\": {speedup:.2}}}"
-                )
-            })
-            .collect();
-        format!("  \"{name}\": {{\n{}\n  }},\n", rows.join(",\n"))
-    };
-    json.push_str(&pairs("gemm", "parallel", &gemm_rows));
-    json.push_str(&pairs("cholesky", "blocked_parallel", &chol_rows));
+    let chol: Vec<String> = chol_rows
+        .iter()
+        .map(|(n, ns)| format!("    \"n{n}\": {{\"factor_ns\": {ns:.0}}}"))
+        .collect();
+    json.push_str(&format!(
+        "  \"cholesky\": {{\n{}\n  }},\n",
+        chol.join(",\n")
+    ));
     let lcm5: Vec<String> = lcm5_rows
         .iter()
         .map(|(n, nll, fit)| {

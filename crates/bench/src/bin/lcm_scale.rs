@@ -21,9 +21,9 @@
 //! work cannot be elided. Run via `scripts/bench_perf.sh`.
 
 use gptune::gp::{KernelKind, LcmFitOptions, LcmHyperparams, LcmModel};
+use gptune::la::par;
 use gptune::opt::lbfgs::LbfgsOptions;
 use gptune::rng::{Rng, SeedableRng, StdRng};
-use gptune::runtime::with_pool;
 use std::time::Instant;
 
 const DIM: usize = 4;
@@ -65,11 +65,10 @@ fn median(mut samples: Vec<f64>) -> f64 {
 }
 
 fn main() {
-    // Every fit, factorization and batched prediction below runs at the
-    // machine's width, so restarts, row panels and prediction chunks are
-    // timed in parallel on all cores.
+    // Every fit and batched prediction below runs at the machine's width,
+    // so restarts and prediction chunks are timed in parallel on all cores.
     let width = std::thread::available_parallelism().map_or(1, |n| n.get());
-    with_pool(width, run);
+    par::with_width(width, run);
 }
 
 fn run() {

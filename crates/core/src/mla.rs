@@ -29,9 +29,7 @@ use gptune_gp::{IncrementalLcm, LcmFitOptions, LcmModel, Prediction};
 use gptune_la::par;
 use gptune_opt::{cmaes, de, pso};
 use gptune_rng::{Rng, SeedableRng, StdRng};
-use gptune_runtime::{
-    with_pool, EvalOutcome, FailureKind, JobStatus, Phase, PhaseTimer, WorkerGroup,
-};
+use gptune_runtime::{EvalOutcome, FailureKind, JobStatus, Phase, PhaseTimer, WorkerGroup};
 use gptune_space::sampling;
 use gptune_space::{Config, Value};
 
@@ -800,7 +798,7 @@ pub fn tune(problem: &TuningProblem, opts: &MlaOptions) -> MlaResult {
         };
         let (_refit_mode, modeling_wall) =
             timer.time_iter(Phase::Modeling, iteration as u64, || {
-                with_pool(opts.model_workers, || {
+                par::with_width(opts.model_workers, || {
                     surrogate.update(&inputs.xs, &inputs.task_of, &y, delta, &lcm_opts)
                 })
             });
@@ -843,7 +841,7 @@ pub fn tune(problem: &TuningProblem, opts: &MlaOptions) -> MlaResult {
                     (task_idx, cfg)
                 };
                 if inputs.xs.len() >= PARALLEL_MIN_N {
-                    with_pool(opts.search_workers, || par::map_indexed(delta, search_one))
+                    par::with_width(opts.search_workers, || par::map_indexed(delta, search_one))
                 } else {
                     (0..delta).map(search_one).collect()
                 }

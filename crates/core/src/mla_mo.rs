@@ -20,7 +20,7 @@ use gptune_gp::{IncrementalLcm, LcmFitOptions, LcmModel};
 use gptune_la::par;
 use gptune_opt::nsga2::{self, pareto_front_indices};
 use gptune_rng::{SeedableRng, StdRng};
-use gptune_runtime::{with_pool, Phase, PhaseTimer};
+use gptune_runtime::{Phase, PhaseTimer};
 use gptune_space::{sampling, Config};
 
 /// One point of a task's observed Pareto front.
@@ -179,7 +179,7 @@ pub fn tune_multiobjective(problem: &TuningProblem, opts: &MlaOptions) -> MoMlaR
             .map(|s| build_inputs(problem, &evals, s, opts))
             .collect();
         let ((), modeling_wall) = timer.time_iter(Phase::Modeling, iteration as u64, || {
-            with_pool(opts.model_workers, || {
+            par::with_width(opts.model_workers, || {
                 for (s, (inputs, y)) in per_objective.iter().enumerate() {
                     let lcm_opts = LcmFitOptions {
                         seed: opts
@@ -317,7 +317,7 @@ pub fn tune_multiobjective(problem: &TuningProblem, opts: &MlaOptions) -> MoMlaR
                 // size gate (every objective's model shares the sample set).
                 let per_task: Vec<Vec<(usize, Config)>> =
                     if per_objective[0].0.xs.len() >= PARALLEL_MIN_N {
-                        with_pool(opts.search_workers, || par::map_indexed(delta, search_one))
+                        par::with_width(opts.search_workers, || par::map_indexed(delta, search_one))
                     } else {
                         (0..delta).map(search_one).collect()
                     };

@@ -23,8 +23,9 @@ use crate::options::MlaOptions;
 use crate::problem::TuningProblem;
 use gptune_db::CheckpointKind;
 use gptune_gp::{IncrementalLcm, LcmFitOptions};
+use gptune_la::par;
 use gptune_rng::{SeedableRng, StdRng};
-use gptune_runtime::{with_pool, Phase, PhaseTimer};
+use gptune_runtime::{Phase, PhaseTimer};
 use gptune_space::{sampling, Config};
 use std::path::Path;
 
@@ -270,7 +271,7 @@ pub fn transfer_tune(
             ..opts.lcm.clone()
         };
         timer.time_iter(Phase::Modeling, iteration as u64, || {
-            with_pool(opts.model_workers, || {
+            par::with_width(opts.model_workers, || {
                 surrogate.update(&inputs.xs, &inputs.task_of, &y, delta, &lcm_opts)
             })
         });

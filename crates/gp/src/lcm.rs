@@ -10,12 +10,9 @@
 use crate::kernel::{ArdKernel, KernelKind};
 use gptune_la::blas;
 use gptune_la::ord::feq;
-use gptune_la::{par, Cholesky, CholeskyOptions, Matrix};
+use gptune_la::{par, Cholesky, Matrix};
 use gptune_opt::lbfgs::{self, LbfgsOptions};
 use gptune_rng::{Rng, SeedableRng, StdRng};
-
-/// Matrix size above which the blocked row-parallel Cholesky is used.
-const PARALLEL_CHOL_THRESHOLD: usize = 192;
 
 /// Training-set size from which the modeling and search phases fan out
 /// over their workers: the L-BFGS restarts of [`LcmModel::fit`] and the
@@ -318,10 +315,6 @@ impl LcmModel {
         };
         // A warm start must match the current packing arity to be usable.
         let warm = warm.filter(|w| w.len() == q * (dim + 2 * n_tasks) + n_tasks);
-        // A single-restart fit may use the blocked parallel factorization;
-        // with several restarts each likelihood keeps the unblocked one
-        // (the restarts are the parallel grain, and the choice must not
-        // depend on the width, so fits stay bit-identical across it).
         let n_starts = opts.n_starts.max(1);
         let tracer = gptune_trace::global();
         let mut fit_span = tracer
@@ -332,11 +325,7 @@ impl LcmModel {
             .with("q", q)
             .with("restarts", n_starts)
             .with("warm", warm.is_some());
-        let ctx = FitCtx {
-            data: &data,
-            dists,
-            parallel_chol: n_starts == 1,
-        };
+        let ctx = FitCtx { data: &data, dists };
         let objective = |theta: &[f64], grad: &mut [f64]| -> f64 {
             if opts.reference_impl {
                 nll_and_grad_reference(&data, q, theta, grad)
@@ -395,14 +384,8 @@ impl LcmModel {
         let coeffs = task_coeffs(&hp);
         let packed: Vec<PackedKernel> = kernels.iter().map(|k| dists.packed(k)).collect();
         let sigma = assemble_covariance(task_of, n_tasks, &coeffs, &packed, &hp.d);
-        // The final factorization runs with no restarts in flight, so the
-        // blocked row-parallel Cholesky is worthwhile at large n.
-        let chol = if n >= PARALLEL_CHOL_THRESHOLD {
-            Cholesky::factor_with_jitter_parallel(&sigma, 0.0, 12, &CholeskyOptions::default())
-        } else {
-            Cholesky::factor_with_jitter(&sigma, 0.0, 12)
-        }
-        .expect("LCM covariance not factorizable even with jitter");
+        let chol = Cholesky::factor_with_jitter(&sigma, 0.0, 12)
+            .expect("LCM covariance not factorizable even with jitter");
         let alpha = chol.solve(&y_std_vals);
         let prior_var: Vec<f64> = (0..n_tasks)
             .map(|task| {
@@ -509,12 +492,8 @@ impl LcmModel {
         let dists = DistanceCache::build(xs);
         let packed: Vec<PackedKernel> = kernels.iter().map(|k| dists.packed(k)).collect();
         let sigma = assemble_covariance(task_of, n_tasks, &coeffs, &packed, &hp.d);
-        let chol = if n >= PARALLEL_CHOL_THRESHOLD {
-            Cholesky::factor_with_jitter_parallel(&sigma, 0.0, 12, &CholeskyOptions::default())
-        } else {
-            Cholesky::factor_with_jitter(&sigma, 0.0, 12)
-        }
-        .expect("LCM covariance not factorizable even with jitter");
+        let chol = Cholesky::factor_with_jitter(&sigma, 0.0, 12)
+            .expect("LCM covariance not factorizable even with jitter");
         let alpha = chol.solve(&y_std_vals);
         let prior_var: Vec<f64> = (0..n_tasks)
             .map(|task| {
@@ -921,11 +900,9 @@ impl LcmModel {
             kernel,
         };
         let dists = DistanceCache::build(xs);
-        // Standalone main-thread call: the parallel Cholesky is allowed.
         let ctx = FitCtx {
             data: &data,
             dists: &dists,
-            parallel_chol: true,
         };
         nll_and_grad(&ctx, q, theta, grad)
     }
@@ -1237,13 +1214,11 @@ fn assemble_covariance(
     sigma
 }
 
-/// Shared per-fit context for likelihood evaluations: the training data,
-/// the distance cache, and whether this evaluation may use the blocked
-/// parallel Cholesky (only when no parallel restarts are in flight).
+/// Shared per-fit context for likelihood evaluations: the training data
+/// and the distance cache.
 struct FitCtx<'a> {
     data: &'a LcmData<'a>,
     dists: &'a DistanceCache,
-    parallel_chol: bool,
 }
 
 /// Distance-cached negative log marginal likelihood and gradient w.r.t. the
@@ -1284,12 +1259,7 @@ fn nll_and_grad(ctx: &FitCtx<'_>, q: usize, theta: &[f64], grad: &mut [f64]) -> 
     let coeffs = task_coeffs(&hp);
     let sigma = assemble_covariance(data.task_of, t, &coeffs, &packed, &hp.d);
 
-    let chol = if ctx.parallel_chol && n >= PARALLEL_CHOL_THRESHOLD {
-        Cholesky::factor_parallel(&sigma, &CholeskyOptions::default())
-    } else {
-        Cholesky::factor_in_place(sigma)
-    };
-    let chol = match chol {
+    let chol = match Cholesky::factor_in_place(sigma) {
         Ok(c) => c,
         Err(_) => {
             grad.iter_mut().for_each(|g| *g = f64::NAN);

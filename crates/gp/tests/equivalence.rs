@@ -279,7 +279,8 @@ fn reference_impl_fit_optimizes_the_same_objective() {
 /// Sizes for the bit-pinning test: small and odd sizes cover the 4-wide
 /// (triangular inverse) and 8-wide (Gram accumulation, lane dot) unroll
 /// tails; 160 is a covariance of the size the modeling phase factors.
-const PIN_SIZES: [usize; 10] = [1, 3, 4, 5, 7, 8, 9, 16, 33, 160];
+/// 197 spans four of the factor's 64-column panels.
+const PIN_SIZES: [usize; 11] = [1, 3, 4, 5, 7, 8, 9, 16, 33, 160, 197];
 
 /// FNV-1a 64 over the `f64::to_bits` of every value, in order.
 fn hash_bits<'a>(values: impl IntoIterator<Item = &'a f64>) -> u64 {
@@ -370,8 +371,11 @@ fn pinned_hashes(n: usize) -> [u64; 5] {
 /// Golden hashes of [`pinned_hashes`] per size in [`PIN_SIZES`], generated
 /// with the allocating kernels that predate the in-place chain (x86_64
 /// Linux; the hashes cover `exp`/`sqrt`/`ln` results, so another libm may
-/// need its own run — the failure message prints the row to paste).
-const PINNED: [[u64; 5]; 10] = [
+/// need its own run — the failure message prints the row to paste). The
+/// n = 197 row's three kernel hashes come from the column-by-column factor
+/// that predates the panel order; its likelihood hashes come from the panel
+/// factor, since the earlier likelihood factored n ≥ 192 by another kernel.
+const PINNED: [[u64; 5]; 11] = [
     [
         0x05a536b1face491c,
         0x39f87033c086140a,
@@ -441,6 +445,13 @@ const PINNED: [[u64; 5]; 10] = [
         0x79234d0c9b612cc3,
         0x921d8c41b278bf7c,
         0x5623d4810b2bbd10,
+    ],
+    [
+        0x9a48b32d78d76a78,
+        0x78a90710ba1a0846,
+        0x4043a6b5435b4cc8,
+        0xa2cbb08cb770dbd4,
+        0x68df47e1b743aa03,
     ],
 ];
 

@@ -1,9 +1,5 @@
-//! BLAS-like level-1/2/3 kernels.
-//!
-//! The level-3 `gemm` has both a sequential blocked form and a parallel
-//! form that splits the output by rows over a [`crate::par`] region; the
-//! blocked Cholesky's trailing-matrix update, which is where almost all the
-//! flops of the LCM covariance factorization live, is split the same way.
+//! BLAS-like level-1/2/3 kernels, all sequential: the modeling phase runs
+//! its parallelism across L-BFGS restarts, one level above these kernels.
 
 use crate::ord::feq;
 use crate::Matrix;
@@ -149,41 +145,6 @@ pub fn gemm(alpha: f64, a: &Matrix, b: &Matrix, beta: f64, c: &mut Matrix) {
     }
 }
 
-/// Parallel `C ← alpha * A B + beta * C` over the rows of `C` (each output
-/// row depends on one row of `A` only, so rows are independent), on a
-/// [`crate::par`] region of the caller's width.
-pub fn par_gemm(alpha: f64, a: &Matrix, b: &Matrix, beta: f64, c: &mut Matrix) {
-    assert_eq!(a.cols(), b.rows(), "par_gemm: inner dims");
-    assert_eq!(c.rows(), a.rows(), "par_gemm: C rows");
-    assert_eq!(c.cols(), b.cols(), "par_gemm: C cols");
-    let n = c.cols();
-    let k = a.cols();
-    if n == 0 {
-        return;
-    }
-    crate::par::for_each_chunk_mut(c.as_mut_slice(), n, |i, crow| {
-        if !feq(beta, 1.0) {
-            for v in crow.iter_mut() {
-                *v *= beta;
-            }
-        }
-        let arow = a.row(i);
-        for k0 in (0..k).step_by(BLOCK) {
-            let k1 = (k0 + BLOCK).min(k);
-            for (kk, &aik) in arow[k0..k1].iter().enumerate() {
-                let aik = alpha * aik;
-                if feq(aik, 0.0) {
-                    continue;
-                }
-                let brow = b.row(k0 + kk);
-                for j in 0..n {
-                    crow[j] += aik * brow[j];
-                }
-            }
-        }
-    });
-}
-
 /// `C ← alpha * A Bᵀ + beta * C` (sequential).
 pub fn gemm_nt(alpha: f64, a: &Matrix, b: &Matrix, beta: f64, c: &mut Matrix) {
     assert_eq!(a.cols(), b.cols(), "gemm_nt: inner dims");
@@ -223,13 +184,6 @@ pub fn gemm_tn(alpha: f64, a: &Matrix, b: &Matrix, beta: f64, c: &mut Matrix) {
 pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
     let mut c = Matrix::zeros(a.rows(), b.cols());
     gemm(1.0, a, b, 0.0, &mut c);
-    c
-}
-
-/// Convenience parallel product returning a fresh matrix `A B`.
-pub fn par_matmul(a: &Matrix, b: &Matrix) -> Matrix {
-    let mut c = Matrix::zeros(a.rows(), b.cols());
-    par_gemm(1.0, a, b, 0.0, &mut c);
     c
 }
 
@@ -321,17 +275,6 @@ mod tests {
             .map(|(x, y)| (x - y).abs())
             .fold(0.0, f64::max);
         assert!(maxdiff < 1e-10);
-    }
-
-    #[test]
-    fn par_gemm_matches_gemm() {
-        let a = arange(97, 71);
-        let b = arange(71, 83);
-        let c1 = matmul(&a, &b);
-        let c2 = par_matmul(&a, &b);
-        assert_eq!(c1, c2);
-        let c3 = crate::par::with_width(3, || par_matmul(&a, &b));
-        assert_eq!(c1, c3);
     }
 
     #[test]

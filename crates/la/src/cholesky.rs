@@ -1,23 +1,18 @@
 //! Cholesky factorization of symmetric positive-definite matrices.
 //!
-//! Two code paths:
-//!
-//! * [`Cholesky::factor`] — textbook unblocked right-looking factorization,
-//!   optimal for the small-to-medium covariance matrices of single tasks;
-//! * [`Cholesky::factor_parallel`] — blocked right-looking factorization
-//!   whose panel solve and trailing-matrix (SYRK) update are split over
-//!   rows on a [`crate::par`] region. This is the stand-in for GPTune's
-//!   ScaLAPACK-parallelised factorization of the LCM covariance matrix
-//!   (paper Sec. 4.3): the `O(ε³δ³)` trailing update dominates and scales
-//!   with worker count.
-//!
-//! The likelihood hot path runs on one `n × n` buffer:
-//! [`Cholesky::factor_in_place`] turns `Σ` into `L` without a copy, and
+//! One factorization kernel: [`Cholesky::factor_in_place`] turns `Σ` into
+//! `L` without a copy, visiting the columns in 64-wide panels so the rows
+//! it reads stay in cache at large `n`. The likelihood hot path runs on one
+//! `n × n` buffer: after the factor,
 //! [`Cholesky::into_inverse_lower_minus_outer`] turns `L` into
 //! `L⁻ᵀL⁻¹ − vvᵀ` over the same storage. The allocating [`Cholesky::factor`],
 //! [`Cholesky::inverse_lower`] and [`triangular::invert_lower`] are
 //! clone-then-in-place wrappers over the same kernels, so each kernel has
 //! one implementation and the two paths agree bit for bit.
+//!
+//! The modeling phase's parallelism is one level up, across the L-BFGS
+//! restarts of an LCM fit (paper Sec. 4.3); a factorization always runs on
+//! the calling thread.
 //!
 //! [`Cholesky::factor_with_jitter`] implements the standard GP trick of
 //! retrying with exponentially increasing diagonal jitter when the kernel
@@ -27,18 +22,10 @@
 use crate::triangular;
 use crate::{LaError, Matrix, Result};
 
-/// Options controlling the blocked parallel factorization.
-#[derive(Debug, Clone)]
-pub struct CholeskyOptions {
-    /// Block (panel) width for the blocked algorithm.
-    pub block: usize,
-}
-
-impl Default for CholeskyOptions {
-    fn default() -> Self {
-        CholeskyOptions { block: 64 }
-    }
-}
+/// Column-panel width and row-block height of the factorization kernel.
+/// A 64-row panel of an `n = 2048` factor is 1 MiB, so it stays in L2
+/// while the rows below it stream past.
+const PANEL: usize = 64;
 
 /// The lower-triangular Cholesky factor `L` with `A = L Lᵀ`.
 ///
@@ -61,7 +48,7 @@ pub struct Cholesky {
 }
 
 impl Cholesky {
-    /// Unblocked sequential factorization. Only the lower triangle of `a` is
+    /// Factorization into a fresh matrix. Only the lower triangle of `a` is
     /// referenced.
     pub fn factor(a: &Matrix) -> Result<Cholesky> {
         Cholesky::factor_in_place(a.clone())
@@ -72,7 +59,7 @@ impl Cholesky {
     /// zeroed, so the factor is identical to the allocating one.
     pub fn factor_in_place(mut a: Matrix) -> Result<Cholesky> {
         assert!(a.is_square(), "Cholesky: matrix must be square");
-        factor_lower_in_place(&mut a, 0)?;
+        factor_lower_in_place(&mut a)?;
         zero_strict_upper(&mut a);
         Ok(Cholesky { l: a, jitter: 0.0 })
     }
@@ -112,39 +99,6 @@ impl Cholesky {
         Ok(Cholesky { l, jitter: 0.0 })
     }
 
-    /// Blocked factorization with a row-parallel panel solve and trailing
-    /// update.
-    ///
-    /// The rows are spread over a [`crate::par`] region of the caller's
-    /// width (`gptune_runtime::with_pool` sets it, emulating `1` vs `32`
-    /// MPI workers); at width 1 it runs inline.
-    pub fn factor_parallel(a: &Matrix, opts: &CholeskyOptions) -> Result<Cholesky> {
-        assert!(a.is_square(), "Cholesky: matrix must be square");
-        let n = a.rows();
-        let nb = opts.block.max(8);
-        let mut l = Matrix::zeros(n, n);
-        for i in 0..n {
-            l.row_mut(i)[..=i].copy_from_slice(&a.row(i)[..=i]);
-        }
-        let mut k0 = 0;
-        while k0 < n {
-            let k1 = (k0 + nb).min(n);
-            // Factor the diagonal block A[k0..k1, k0..k1] in place.
-            factor_block(&mut l, k0, k1)?;
-            if k1 < n {
-                // Panel solve: L[k1.., k0..k1] ← A[k1.., k0..k1] * L11⁻ᵀ.
-                panel_solve(&mut l, k0, k1, n);
-                // Trailing SYRK: A22 ← A22 − L21 L21ᵀ (lower triangle only),
-                // parallel over the rows of the trailing matrix.
-                trailing_update(&mut l, k0, k1, n);
-            }
-            k0 = k1;
-        }
-        // Zero the strict upper triangle (was scratch).
-        zero_strict_upper(&mut l);
-        Ok(Cholesky { l, jitter: 0.0 })
-    }
-
     /// Factorizes `a + jitter·I`, starting from `initial_jitter` (or 0) and
     /// multiplying the jitter by 10 on each failure, up to `max_tries`
     /// attempts. Mirrors GPy's behaviour, which the reference GPTune relies
@@ -154,33 +108,7 @@ impl Cholesky {
         initial_jitter: f64,
         max_tries: usize,
     ) -> Result<Cholesky> {
-        Cholesky::factor_with_jitter_impl(a, initial_jitter, max_tries, None)
-    }
-
-    /// Like [`Cholesky::factor_with_jitter`], but each factorization attempt
-    /// uses the blocked row-parallel algorithm. Intended for the final
-    /// factorization of a large fitted covariance, where no parallel
-    /// restarts are in flight.
-    pub fn factor_with_jitter_parallel(
-        a: &Matrix,
-        initial_jitter: f64,
-        max_tries: usize,
-        opts: &CholeskyOptions,
-    ) -> Result<Cholesky> {
-        Cholesky::factor_with_jitter_impl(a, initial_jitter, max_tries, Some(opts))
-    }
-
-    fn factor_with_jitter_impl(
-        a: &Matrix,
-        initial_jitter: f64,
-        max_tries: usize,
-        popts: Option<&CholeskyOptions>,
-    ) -> Result<Cholesky> {
-        let factor = |m: &Matrix| match popts {
-            Some(o) => Cholesky::factor_parallel(m, o),
-            None => Cholesky::factor(m),
-        };
-        match factor(a) {
+        match Cholesky::factor(a) {
             Ok(c) => return Ok(c),
             Err(_) if max_tries > 0 => {}
             Err(e) => return Err(e),
@@ -195,7 +123,7 @@ impl Cholesky {
         for _ in 0..max_tries {
             let mut aj = a.clone();
             aj.add_diagonal(jitter);
-            match factor(&aj) {
+            match Cholesky::factor_in_place(aj) {
                 Ok(mut c) => {
                     c.jitter = jitter;
                     return Ok(c);
@@ -563,35 +491,42 @@ fn rank1_update_lower(l: &mut Matrix, k0: usize, x: &mut [f64]) {
     }
 }
 
-/// Left-looking in-place factorization of the lower triangle starting at the
-/// given pivot offset (used both standalone and for diagonal blocks). The
-/// pivot row is staged in a scratch buffer so the subdiagonal updates become
-/// vectorizable row-slice dots (two live row borrows of the same matrix
-/// would otherwise conflict); `rows_to` bounds the updated rows so the same
-/// routine factors both the full triangle and a diagonal block.
-fn factor_lower_bounded(l: &mut Matrix, offset: usize, rows_to: usize) -> Result<()> {
-    let mut pivot = vec![0.0; rows_to];
-    for j in offset..rows_to {
-        pivot[offset..j].copy_from_slice(&l.row(j)[offset..j]);
-        let pj = &pivot[offset..j];
-        let d = l.get(j, j) - crate::blas::dot(pj, pj);
-        if !(d > 0.0) || !d.is_finite() {
-            return Err(LaError::NotPositiveDefinite { pivot: j });
-        }
-        let d = d.sqrt();
-        l.set(j, j, d);
-        for i in (j + 1)..rows_to {
-            let s = l.get(i, j) - crate::blas::dot(&l.row(i)[offset..j], pj);
-            l.set(i, j, s / d);
+/// In-place factorization of the lower triangle. Every entry is
+/// `l_ij = (a_ij − l_i[..j]·l_j[..j]) / l_jj` and every pivot
+/// `l_jj = √(a_jj − l_j[..j]·l_j[..j])`, one [`crate::blas::dot`] of row
+/// slices each, so only the order the entries are visited in is chosen
+/// for the cache. The columns go in panels of [`PANEL`]; a panel's rows
+/// below its diagonal block go through it in blocks of [`PANEL`] rows, and
+/// each tile is swept column by column. Within a column the rows' dots are
+/// independent, so they overlap in the pipeline, and the panel rows they
+/// read are reused by every row below instead of every row being streamed
+/// once per column. Pivots are still checked in ascending order, so a
+/// failure names the pivot a plain column sweep would.
+fn factor_lower_in_place(l: &mut Matrix) -> Result<()> {
+    let n = l.rows();
+    for p0 in (0..n).step_by(PANEL) {
+        let p1 = (p0 + PANEL).min(n);
+        for r0 in (p0..n).step_by(PANEL) {
+            let r1 = (r0 + PANEL).min(n);
+            for j in p0..p1 {
+                let (done, below) = l.as_mut_slice().split_at_mut((j + 1) * n);
+                let lj = &mut done[j * n..=j * n + j];
+                if j >= r0 {
+                    let d = lj[j] - crate::blas::dot(&lj[..j], &lj[..j]);
+                    if !(d > 0.0) || !d.is_finite() {
+                        return Err(LaError::NotPositiveDefinite { pivot: j });
+                    }
+                    lj[j] = d.sqrt();
+                }
+                let (lj, ljj) = (&lj[..j], lj[j]);
+                let rows = &mut below[(r0.max(j + 1) - j - 1) * n..(r1 - j - 1) * n];
+                for li in rows.chunks_exact_mut(n) {
+                    li[j] = (li[j] - crate::blas::dot(&li[..j], lj)) / ljj;
+                }
+            }
         }
     }
     Ok(())
-}
-
-/// Unblocked factorization of the whole lower triangle.
-fn factor_lower_in_place(l: &mut Matrix, offset: usize) -> Result<()> {
-    let rows = l.rows();
-    factor_lower_bounded(l, offset, rows)
 }
 
 /// Zeroes everything above the diagonal.
@@ -661,54 +596,6 @@ fn inverse_lower_in_place(m: &mut Matrix, v: Option<&[f64]>) {
     }
 }
 
-/// Factors the diagonal block `l[k0..k1, k0..k1]` in place (columns `k0..k1`
-/// already hold the Schur-complement values from previous trailing updates).
-fn factor_block(l: &mut Matrix, k0: usize, k1: usize) -> Result<()> {
-    factor_lower_bounded(l, k0, k1)
-}
-
-/// Panel solve `L21 ← A21 L11⁻ᵀ` for rows `k1..n`, columns `k0..k1`.
-fn panel_solve(l: &mut Matrix, k0: usize, k1: usize, n: usize) {
-    // Copy the diagonal block (small) so we can mutate rows below freely.
-    let nb = k1 - k0;
-    let mut l11 = Matrix::zeros(nb, nb);
-    for i in 0..nb {
-        for j in 0..=i {
-            l11.set(i, j, l.get(k0 + i, k0 + j));
-        }
-    }
-    let cols = l.cols();
-    let rows = l.as_mut_slice();
-    crate::par::for_each_chunk_mut(&mut rows[k1 * cols..n * cols], cols, |_, row| {
-        // Solve L11 xᵀ = rowᵀ over the panel columns (forward subst),
-        // accumulating each partial sum as one row-slice dot.
-        for j in 0..nb {
-            let s = row[k0 + j] - crate::blas::dot(&l11.row(j)[..j], &row[k0..k0 + j]);
-            row[k0 + j] = s / l11.get(j, j);
-        }
-    });
-}
-
-/// Trailing update `A22 ← A22 − L21 L21ᵀ` on the lower triangle, parallel
-/// over trailing rows.
-fn trailing_update(l: &mut Matrix, k0: usize, k1: usize, n: usize) {
-    let cols = l.cols();
-    // Snapshot the panel L21 (rows k1..n, cols k0..k1) — read-only below.
-    let nb = k1 - k0;
-    let mut panel = Matrix::zeros(n - k1, nb);
-    for i in k1..n {
-        panel.row_mut(i - k1).copy_from_slice(&l.row(i)[k0..k1]);
-    }
-    let data = l.as_mut_slice();
-    crate::par::for_each_chunk_mut(&mut data[k1 * cols..n * cols], cols, |ri, row| {
-        let i = k1 + ri;
-        let pi = panel.row(ri);
-        for j in k1..=i {
-            row[j] -= crate::blas::dot(pi, panel.row(j - k1));
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -739,12 +626,14 @@ mod tests {
     #[test]
     fn factor_and_inverse_match_reference_baselines() {
         // The vectorized factor/inverse differ from the retained scalar
-        // baselines only by dot-product reduction order.
-        let a = spd(40);
+        // baselines only by dot-product reduction order. Three panels, the
+        // last one partial.
+        let n = 2 * PANEL + 5;
+        let a = spd(n);
         let c = Cholesky::factor(&a).unwrap();
         let r = Cholesky::factor_reference(&a).unwrap();
-        let ldiff = (0..40)
-            .flat_map(|i| (0..40).map(move |j| (i, j)))
+        let ldiff = (0..n)
+            .flat_map(|i| (0..n).map(move |j| (i, j)))
             .map(|(i, j)| (c.l().get(i, j) - r.l().get(i, j)).abs())
             .fold(0.0, f64::max);
         assert!(ldiff < 1e-12, "factor max diff {ldiff}");
@@ -757,26 +646,6 @@ mod tests {
             .map(|(x, y)| (x - y).abs())
             .fold(0.0, f64::max);
         assert!(idiff < 1e-10, "inverse max diff {idiff}");
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let a = spd(150);
-        let c1 = Cholesky::factor(&a).unwrap();
-        let c2 = Cholesky::factor_parallel(&a, &CholeskyOptions { block: 32 }).unwrap();
-        let diff = (0..150)
-            .flat_map(|i| (0..150).map(move |j| (i, j)))
-            .map(|(i, j)| (c1.l().get(i, j) - c2.l().get(i, j)).abs())
-            .fold(0.0, f64::max);
-        assert!(diff < 1e-9, "max diff {diff}");
-    }
-
-    #[test]
-    fn parallel_handles_uneven_blocks() {
-        let a = spd(37);
-        let c = Cholesky::factor_parallel(&a, &CholeskyOptions { block: 16 }).unwrap();
-        let rec = matmul(c.l(), &c.l().transpose());
-        assert!((0..37).all(|i| (rec.get(i, i) - a.get(i, i)).abs() < 1e-9));
     }
 
     #[test]
@@ -1020,6 +889,13 @@ mod tests {
             Cholesky::factor(&a),
             Err(LaError::NotPositiveDefinite { .. })
         ));
+        // A pivot that fails in a later panel is the one named.
+        let mut b = spd(2 * PANEL + 5);
+        b.set(PANEL + 7, PANEL + 7, -1.0);
+        assert_eq!(
+            Cholesky::factor(&b).unwrap_err(),
+            LaError::NotPositiveDefinite { pivot: PANEL + 7 }
+        );
     }
 
     #[test]

@@ -8,17 +8,18 @@
 //!
 //! * [`Matrix`] — a row-major dense matrix with the usual constructors and
 //!   element accessors.
-//! * [`blas`] — level-1/2/3 kernels (`dot`, `axpy`, `gemv`, `gemm`), with a
-//!   row-panel-parallel `gemm`.
-//! * [`cholesky`] — sequential and blocked-parallel Cholesky factorization
-//!   (the parallel variant stands in for the ScaLAPACK-parallelised
-//!   covariance factorization of the paper's Sec. 4.3), with solves,
-//!   log-determinant, inverse, and jittered retry for nearly-singular
-//!   covariances.
+//! * [`blas`] — sequential level-1/2/3 kernels (`dot`, `axpy`, `gemv`,
+//!   `gemm`).
+//! * [`cholesky`] — one column-panel Cholesky kernel with solves,
+//!   log-determinant, inverse, rank-1 updates, and jittered retry for
+//!   nearly-singular covariances.
 //! * [`lu`] — partial-pivoting LU with solves.
-//! * [`par`] — the std-only fork-join regions every parallel kernel and
-//!   the tuner's modeling/search phases run on (item-ordered results, a
-//!   thread-local width that is 1 unless a caller sets one).
+//! * [`par`] — the std-only fork-join regions the tuner's modeling and
+//!   search phases run on (item-ordered results, a thread-local width that
+//!   is 1 unless a caller sets one). No kernel of this crate starts one:
+//!   the paper's ScaLAPACK-parallel factorization (Sec. 4.3) has no
+//!   stand-in here, and the modeling phase's parallelism is its L-BFGS
+//!   restarts.
 //! * [`qr`] — Householder QR and least-squares solves (used to fit the
 //!   coarse performance-model hyperparameters of the paper's Eq. 7).
 //! * [`triangular`] — forward/backward substitution on vectors and matrices.
@@ -44,7 +45,7 @@ pub mod par;
 pub mod qr;
 pub mod triangular;
 
-pub use cholesky::{Cholesky, CholeskyOptions};
+pub use cholesky::Cholesky;
 pub use eigen::SymmetricEigen;
 pub use lu::Lu;
 pub use matrix::Matrix;

@@ -6,10 +6,11 @@
 //! [`std::thread::scope`] threads and hands their results back in item
 //! order, so every output is bit-identical to a sequential run.
 //!
-//! * The width of a region is a thread-local set by [`with_width`] (which
-//!   `gptune_runtime::with_pool` wraps). It is 1 outside any `with_width`,
-//!   so a library call never spawns a thread unless a caller asked for
-//!   workers.
+//! * The width of a region is a thread-local set by [`with_width`]; the
+//!   tuners set it to their `model_workers` / `search_workers` around the
+//!   modeling and search phases, like a `-np N` spawn. It is 1 outside any
+//!   `with_width`, so a library call never spawns a thread unless a caller
+//!   asked for workers.
 //! * A region with width `w > 1` and `k > 1` items runs on `min(w, k)`
 //!   threads: the caller plus `min(w, k) − 1` scoped threads.
 //! * Threads running a region run any nested region inline.
@@ -89,48 +90,6 @@ pub fn map_indexed<R: Send>(k: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
     });
     done.sort_unstable_by_key(|&(i, _)| i);
     done.into_iter().map(|(_, r)| r).collect()
-}
-
-/// Calls `f(i, chunk)` on every `size`-element chunk of `data` (the last
-/// may be shorter), spread over up to the caller's width of threads (see
-/// [`with_width`]). The chunks are disjoint `&mut` borrows dealt
-/// round-robin — chunk `i` to thread `i mod threads` — so no two threads
-/// touch the same element.
-///
-/// # Panics
-/// Panics if `size` is 0.
-pub fn for_each_chunk_mut<T: Send>(
-    data: &mut [T],
-    size: usize,
-    f: impl Fn(usize, &mut [T]) + Sync,
-) {
-    assert!(size > 0, "for_each_chunk_mut: zero chunk size");
-    let threads = width().min(data.len().div_ceil(size));
-    if threads <= 1 {
-        for (i, chunk) in data.chunks_mut(size).enumerate() {
-            f(i, chunk);
-        }
-        return;
-    }
-    let mut lanes: Vec<Vec<(usize, &mut [T])>> = (0..threads).map(|_| Vec::new()).collect();
-    for (i, chunk) in data.chunks_mut(size).enumerate() {
-        lanes[i % threads].push((i, chunk));
-    }
-    let run = |lane: Vec<(usize, &mut [T])>| {
-        let _inline = WidthGuard::set(1);
-        for (i, chunk) in lane {
-            f(i, chunk);
-        }
-    };
-    std::thread::scope(|s| {
-        let mut lanes = lanes.into_iter();
-        let mine = lanes.next();
-        let handles: Vec<_> = lanes.map(|lane| s.spawn(move || run(lane))).collect();
-        if let Some(lane) = mine {
-            run(lane);
-        }
-        join_all(handles);
-    });
 }
 
 /// Joins every handle; the first worker panic resumes on the caller with
@@ -278,21 +237,5 @@ mod tests {
             assert_eq!(msg.as_deref(), Some(want.as_str()));
             assert_eq!(width(), 1, "width restored after unwinding");
         }
-    }
-
-    #[test]
-    fn chunks_are_disjoint_and_complete() {
-        let mut data = vec![0usize; 103];
-        with_width(3, || {
-            for_each_chunk_mut(&mut data, 10, |i, chunk| {
-                for (j, v) in chunk.iter_mut().enumerate() {
-                    *v += i * 10 + j;
-                }
-            })
-        });
-        assert_eq!(data, (0..103).collect::<Vec<_>>());
-        let mut one = vec![1.0f64; 5];
-        for_each_chunk_mut(&mut one, 2, |_, c| c.iter_mut().for_each(|v| *v *= 2.0));
-        assert_eq!(one, vec![2.0; 5]);
     }
 }

@@ -61,8 +61,7 @@ pub fn solve_upper(u: &Matrix, b: &mut [f64]) {
 }
 
 /// Solves `L X = B` row-sweep-wise, overwriting `B` with the solution.
-/// This is the `trsm` used by the blocked Cholesky panel update and the
-/// batched GP prediction.
+/// This is the `trsm` of the batched GP prediction.
 ///
 /// Row `i` of `B` is staged in an accumulator buffer so the already-solved
 /// rows can be read through plain shared borrows and combined four at a

@@ -1,7 +1,7 @@
 //! Property tests for the dense linear algebra kernels: each property runs
 //! over 40 seeded random cases.
 
-use gptune_la::{blas, qr, triangular, Cholesky, CholeskyOptions, Lu, Matrix};
+use gptune_la::{blas, qr, triangular, Cholesky, Lu, Matrix};
 use gptune_rng::{Rng, SeedableRng, StdRng};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -48,16 +48,6 @@ fn cholesky_reconstructs_spd() {
         let c = Cholesky::factor(&a).unwrap();
         let rec = blas::matmul(c.l(), &c.l().transpose());
         assert!(max_abs_diff(&rec, &a) < 1e-8);
-    });
-}
-
-#[test]
-fn parallel_cholesky_agrees() {
-    cases(|rng| {
-        let a = spd(rng, 40);
-        let c1 = Cholesky::factor(&a).unwrap();
-        let c2 = Cholesky::factor_parallel(&a, &CholeskyOptions { block: 16 }).unwrap();
-        assert!(max_abs_diff(c1.l(), c2.l()) < 1e-8);
     });
 }
 

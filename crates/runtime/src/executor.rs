@@ -588,19 +588,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Runs `f` with `n_threads` workers for the parallel regions it starts.
-///
-/// Every [`gptune_la::par`] region `f` starts on this thread (the LCM
-/// restarts, the per-task search, batched-prediction chunks, the blocked
-/// Cholesky's row panels) runs on up to `n_threads` scoped threads, so
-/// worker counts are controlled exactly as GPTune controls its spawned MPI
-/// group sizes. The width is a thread-local restored on return (also when
-/// `f` panics); outside any `with_pool` it is 1 and no region spawns a
-/// thread. Panics from `f` propagate.
-pub fn with_pool<R>(n_threads: usize, f: impl FnOnce() -> R) -> R {
-    gptune_la::par::with_width(n_threads, f)
-}
-
 /// A monotonically increasing counter shared across workers — convenience
 /// for tests and for capping concurrent evaluations.
 #[derive(Debug, Default)]
@@ -895,39 +882,6 @@ mod tests {
             t0.elapsed() < Duration::from_secs(3),
             "shutdown must not join the hung worker"
         );
-    }
-
-    /// Distinct threads that ran the items of one 8-item region. Every
-    /// item holds until `expect` distinct threads have arrived (or 10 s
-    /// pass), so no thread can drain the queue before the others start.
-    fn region_threads(expect: usize) -> usize {
-        let seen = Mutex::new(HashSet::<std::thread::ThreadId>::new());
-        let arrived = std::sync::Condvar::new();
-        gptune_la::par::map_indexed(8, |_| {
-            let mut ids = seen.lock().unwrap();
-            ids.insert(std::thread::current().id());
-            arrived.notify_all();
-            let _ids = arrived
-                .wait_timeout_while(ids, Duration::from_secs(10), |ids| ids.len() < expect)
-                .unwrap();
-        });
-        let n = seen.lock().unwrap().len();
-        n
-    }
-
-    #[test]
-    fn with_pool_bounds_parallelism() {
-        assert_eq!(with_pool(3, || region_threads(3)), 3);
-        assert_eq!(with_pool(1, || region_threads(1)), 1);
-        assert_eq!(region_threads(1), 1, "no parallelism outside with_pool");
-    }
-
-    #[test]
-    fn with_pool_runs_parallel_work() {
-        let parts = with_pool(4, || {
-            gptune_la::par::map_indexed(10, |i| (i as i64 * 100..(i as i64 + 1) * 100).sum::<i64>())
-        });
-        assert_eq!(parts.iter().sum::<i64>(), 499_500);
     }
 
     #[test]

@@ -12,10 +12,6 @@
 //!   master feeds one end, the worker group drains it — the queue and
 //!   channel pair play the role of the `SpawnedComm`/`ParentComm`
 //!   inter-communicators of Fig. 1);
-//! * [`with_pool`] runs a closure with a prescribed worker count for the
-//!   `gptune_la::par` fork-join regions it starts (LCM restarts, per-task
-//!   search), bounding the parallelism of the modeling and search phases
-//!   exactly like a `-np N` spawn would;
 //! * [`stats`] collects the per-phase time breakdown that GPTune prints
 //!   after "stats:" in its runlogs (used by Table 3 and Fig. 3);
 //! * [`collectives`] offers the MPI collective vocabulary (broadcast,
@@ -26,6 +22,10 @@
 //!   exponential backoff, and [`WorkerGroup::try_map`] surfaces it all as
 //!   typed [`EvalOutcome`]s — real tuned applications crash, hang, and
 //!   OOM, and a dead measurement must never kill the tuner.
+//!
+//! The modeling (over restarts) and search (over tasks) phases run on
+//! `gptune_la::par` fork-join regions instead; the tuners size them from
+//! `model_workers` / `search_workers` with `par::with_width`.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
@@ -35,6 +35,6 @@ pub mod fault;
 pub mod stats;
 
 pub use collectives::{broadcast_map, map_allreduce, map_reduce, scatter_gather};
-pub use executor::{with_pool, SharedCounter, WorkerGroup};
+pub use executor::{SharedCounter, WorkerGroup};
 pub use fault::{EvalOutcome, FailureKind, FaultPolicy, GroupClosed, JobStatus, TransientSignal};
 pub use stats::{Phase, PhaseStats, PhaseTimer};

@@ -3,7 +3,11 @@
 # if any of them is skipped or dies:
 #
 #   * lcm_perf        -> BENCH_lcm.json             distance-cached LCM vs
-#                        reference likelihood/fit/prediction speedups
+#                        reference likelihood/fit/prediction speedups,
+#                        plus Cholesky, 5-task LCM and acquisition rows
+#   * lcm_scale       -> BENCH_lcm_scale.json       incremental extension vs
+#                        from-scratch rebuild (>= 5x at n = 4096), capped
+#                        active-set fit and predict cost across n
 #   * trace_overhead  -> BENCH_trace_overhead.json  tracing-enabled vs
 #                        disabled overhead guard (<= 3%), plus the
 #                        rolling-window metrics arm (windowed vs plain
@@ -20,6 +24,9 @@
 # masquerade as a green run. New emitters must be registered in the
 # EMITTERS table below — the final count check makes forgetting that a
 # loud failure too.
+#
+# Like tier1.sh, every cargo call runs offline against the committed
+# Cargo.lock.
 #
 # Usage: scripts/bench_perf.sh [output-dir]   (default: repo root)
 set -uo pipefail
@@ -43,7 +50,7 @@ for spec in "${EMITTERS[@]}"; do
   out_path="$out_dir/$out"
   rm -f "$out_path"
   echo "=== $name -> $out_path"
-  if ! cargo run -q --release -p gptune-bench --bin "$bin" -- "$out_path"; then
+  if ! cargo run --offline --locked -q --release -p gptune-bench --bin "$bin" -- "$out_path"; then
     echo "bench_perf: FAIL: emitter $name exited non-zero" >&2
     failures=$((failures + 1))
     continue

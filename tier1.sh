@@ -6,7 +6,9 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 cargo build --offline --locked --release --workspace
-cargo test --offline --locked -q
+# The root package is not a virtual workspace and has no default-members,
+# so without --workspace only its own tests would run.
+cargo test --offline --locked -q --workspace
 # Chaos gate: MLA under injected crashes/hangs/transients must complete,
 # resume deterministically, and skip journaled crashers.
 cargo test --offline --locked -q --test chaos
