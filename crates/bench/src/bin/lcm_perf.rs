@@ -340,8 +340,13 @@ fn run() {
     print!("{json}");
     eprintln!("sink {sink}");
     eprintln!("wrote {out_path}");
+    // The bars the module doc states, on the paired-median ratios.
     assert!(
-        fit_reference >= fit_cached,
-        "cached fit slower than reference — hot path regressed"
+        fit_speedup >= 2.0,
+        "n = 256 fit only {fit_speedup:.2}x cached over reference_impl (bar: 2x) — hot path regressed"
+    );
+    assert!(
+        pt_speedup >= 4.0,
+        "batch scoring only {pt_speedup:.2}x over per-point (bar: 4x) — batched posterior regressed"
     );
 }

@@ -5,12 +5,13 @@
 //! `gptune-runtime`. This module converts at the boundary — `Value ↔
 //! DbValue`, `PhaseStats ↔ RunStats` — and builds the derived identities
 //! the archive is keyed on: the *problem signature* (a stable hash of the
-//! problem's structure) and the deterministic *run id*. It also holds the
-//! load/store glue the MLA loops use: warm-start preloading, checkpoint
-//! construction, and end-of-run archiving.
+//! problem's structure), the *run fingerprint* that keys a run's
+//! checkpoint, and the deterministic *run id*. It also holds the
+//! load/store glue of the run lifecycle (`mla::Campaign`): warm-start
+//! preloading, checkpoint construction, and end-of-run archiving.
 
 use crate::history::History;
-use crate::mla::{EvalFailure, Evaluations};
+use crate::mla::{Campaign, EvalFailure, Evaluations};
 use crate::options::MlaOptions;
 use crate::problem::TuningProblem;
 use gptune_db::json::Json;
@@ -130,6 +131,40 @@ pub fn problem_signature(problem: &TuningProblem) -> u64 {
     fnv1a(text.as_bytes())
 }
 
+/// Fingerprint of one run: FNV-1a over the canonical text of its loop
+/// kind, seed, budget `ε_tot`, task list and TLA target (`None` for the
+/// MLA loops). It keys the run's checkpoint, so a run adopts, overwrites
+/// and clears only the checkpoint it wrote itself — never that of another
+/// loop, task set or target sharing the problem signature and seed.
+pub(crate) fn run_fingerprint(
+    kind: CheckpointKind,
+    opts: &MlaOptions,
+    problem: &TuningProblem,
+    target: Option<usize>,
+) -> u64 {
+    let mut text = format!(
+        "{}\u{1f}{}\u{1f}{}\u{1f}",
+        kind.as_str(),
+        opts.seed,
+        opts.eps_total
+    );
+    for task in &problem.tasks {
+        text.push('|');
+        for v in task {
+            match v {
+                Value::Real(x) => text.push_str(&format!("r{:x};", x.to_bits())),
+                Value::Int(x) => text.push_str(&format!("i{x};")),
+                Value::Cat(k) => text.push_str(&format!("c{k};")),
+            }
+        }
+    }
+    text.push('\u{1f}');
+    if let Some(t) = target {
+        text.push_str(&t.to_string());
+    }
+    fnv1a(text.as_bytes())
+}
+
 /// Canonical text form of one parameter for signature hashing. Hand-rolled
 /// (not `Debug`) so the signature is stable across compiler versions.
 fn push_param(out: &mut String, p: &Param) {
@@ -215,34 +250,27 @@ pub(crate) fn open_db(opts: &MlaOptions) -> Option<Db> {
     })
 }
 
-/// Builds a checkpoint of the in-flight MLA state.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn checkpoint_from_run(
-    kind: CheckpointKind,
-    sig: u64,
-    opts: &MlaOptions,
-    evals: &Evaluations,
-    iteration: usize,
-    eps: usize,
-    n_preloaded: usize,
-    stats: &PhaseStats,
-) -> Checkpoint {
+/// Builds a checkpoint of a campaign's in-flight state.
+pub(crate) fn checkpoint_from_run(c: &Campaign<'_>) -> Checkpoint {
     Checkpoint {
-        kind,
-        sig,
-        seed: opts.seed,
-        eps_total: opts.eps_total,
-        iteration,
-        eps,
-        n_preloaded,
-        points: evals
+        kind: c.kind,
+        sig: c.sig,
+        run: c.run,
+        seed: c.opts.seed,
+        eps_total: c.opts.eps_total,
+        iteration: c.iteration,
+        eps: c.eps,
+        n_preloaded: c.n_preloaded,
+        points: c
+            .evals
             .points
             .iter()
-            .map(|(t, c)| (*t, config_to_db(c)))
+            .map(|(t, cfg)| (*t, config_to_db(cfg)))
             .collect(),
-        outputs: evals.outputs.clone(),
-        stats: stats_to_db(stats),
-        fails: evals
+        outputs: c.evals.outputs.clone(),
+        stats: stats_to_db(&c.timer.snapshot()),
+        fails: c
+            .evals
             .failures
             .iter()
             .map(|f| CkptFail {
@@ -257,39 +285,28 @@ pub(crate) fn checkpoint_from_run(
 
 /// Builds and atomically persists a checkpoint of the in-flight state.
 /// Failure panics: the user asked for durability; losing it is loud.
-#[allow(clippy::too_many_arguments)]
 // PANIC-SAFETY: losing the ability to checkpoint mid-run is fatal by
 // design — continuing would silently void the crash-resume guarantee.
 #[allow(clippy::panic)]
-pub(crate) fn write_checkpoint(
-    db: &Db,
-    kind: CheckpointKind,
-    sig: u64,
-    opts: &MlaOptions,
-    evals: &Evaluations,
-    iteration: usize,
-    eps: usize,
-    n_preloaded: usize,
-    stats: &PhaseStats,
-) {
-    let ckpt = checkpoint_from_run(kind, sig, opts, evals, iteration, eps, n_preloaded, stats);
+pub(crate) fn write_checkpoint(db: &Db, c: &Campaign<'_>) {
+    let ckpt = checkpoint_from_run(c);
     let _span = gptune_trace::global()
         .span("gptune.db.checkpoint_save")
-        .with("iteration", iteration as u64)
+        .with("iteration", ckpt.iteration as u64)
         .with("points", ckpt.points.len());
     db.save_checkpoint(&ckpt)
         .unwrap_or_else(|e| panic!("gptune-db: cannot write checkpoint: {e}"));
 }
 
-/// Loads the checkpoint keyed by `(sig, seed)`, spanning the read as
+/// Loads the checkpoint keyed by `(sig, run)`, spanning the read as
 /// `gptune.db.checkpoint_load` (with the hit/miss outcome as a field).
 pub(crate) fn load_checkpoint_traced(
     db: &Db,
     sig: u64,
-    seed: u64,
+    run: u64,
 ) -> std::io::Result<Option<Checkpoint>> {
     let mut span = gptune_trace::global().span("gptune.db.checkpoint_load");
-    let r = db.load_checkpoint(sig, seed);
+    let r = db.load_checkpoint(sig, run);
     match &r {
         Ok(Some(c)) => {
             span.add("hit", true);
@@ -323,19 +340,22 @@ pub(crate) fn evals_from_checkpoint(ckpt: &Checkpoint) -> Evaluations {
     }
 }
 
-/// A loaded checkpoint is only usable when it describes *this* run: same
-/// loop kind, same budget, and task indices within range. (Signature and
-/// seed already matched — they key the checkpoint file.)
-pub(crate) fn checkpoint_matches(
-    ckpt: &Checkpoint,
-    kind: CheckpointKind,
-    opts: &MlaOptions,
-    delta: usize,
-) -> bool {
-    ckpt.kind == kind
-        && ckpt.eps_total == opts.eps_total
-        && ckpt.points.iter().all(|(t, _)| *t < delta)
-        && ckpt.points.len() == ckpt.outputs.len()
+/// A loaded checkpoint is usable only when it is sound for a problem of
+/// `delta` tasks: task indices in range and one output row per point.
+/// (Which run wrote it is settled by its key: signature and run
+/// fingerprint name the file.)
+pub(crate) fn checkpoint_matches(ckpt: &Checkpoint, delta: usize) -> bool {
+    ckpt.points.iter().all(|(t, _)| *t < delta) && ckpt.points.len() == ckpt.outputs.len()
+}
+
+/// Archived evaluations of `problem` with its output arity, in journal
+/// order.
+fn archived_evals(db: &Db, problem: &TuningProblem, sig: u64) -> std::io::Result<Vec<DbRecord>> {
+    let q = Query {
+        n_outputs: Some(problem.n_objectives),
+        ..Default::default()
+    };
+    db.query(&problem.name, sig, &q)
 }
 
 /// Archived evaluations matching this problem's tasks, as
@@ -347,16 +367,8 @@ pub(crate) fn preload_from_db(
     problem: &TuningProblem,
     sig: u64,
 ) -> std::io::Result<Vec<(usize, Config, Vec<f64>)>> {
-    let recs = db.query(
-        &problem.name,
-        sig,
-        &Query {
-            n_outputs: Some(problem.n_objectives),
-            ..Default::default()
-        },
-    )?;
     let mut out = Vec::new();
-    for r in recs {
+    for r in archived_evals(db, problem, sig)? {
         let task = db_to_config(&r.task);
         let Some(idx) = problem.tasks.iter().position(|t| t == &task) else {
             continue;
@@ -369,30 +381,18 @@ pub(crate) fn preload_from_db(
     Ok(out)
 }
 
-/// Appends this run's fresh evaluations (skipping the `n_preloaded`
-/// archived ones), its classified failure records, and a run summary to
-/// the problem's journal. Returns the number of entries written.
+/// Appends a campaign's own evaluations (skipping its preloaded archive
+/// records), its classified failure records, and a run summary to the
+/// problem's journal. Returns the number of entries written.
 ///
 /// Failure records make the fault knowledge durable: a later run that
 /// reads the archive loads them via [`known_failures`] and never
 /// re-executes a configuration recorded as crashing.
-pub(crate) fn archive_run(
-    db: &Db,
-    problem: &TuningProblem,
-    sig: u64,
-    evals: &Evaluations,
-    n_preloaded: usize,
-    prov: &Provenance,
-    stats: &PhaseStats,
-) -> std::io::Result<usize> {
-    let fresh = evals.points.len().saturating_sub(n_preloaded);
-    let mut entries: Vec<DbEntry> = Vec::with_capacity(fresh + 1);
-    for ((t, cfg), out) in evals
-        .points
-        .iter()
-        .zip(&evals.outputs)
-        .skip(n_preloaded.min(evals.points.len()))
-    {
+pub(crate) fn archive_run(db: &Db, c: &Campaign<'_>) -> std::io::Result<usize> {
+    let (problem, sig, evals) = (c.problem, c.sig, &c.evals);
+    let prov = provenance(c.opts, problem.n_tasks());
+    let mut entries: Vec<DbEntry> = Vec::with_capacity(c.n_fresh() + 1);
+    for ((t, cfg), out) in c.fresh() {
         entries.push(DbEntry::Eval(DbRecord {
             problem: problem.name.clone(),
             sig,
@@ -403,7 +403,7 @@ pub(crate) fn archive_run(
         }));
     }
     for f in &evals.failures {
-        if f.index < n_preloaded || f.index >= evals.points.len() {
+        if f.index < c.n_preloaded || f.index >= evals.points.len() {
             continue;
         }
         let (t, cfg) = &evals.points[f.index];
@@ -421,8 +421,8 @@ pub(crate) fn archive_run(
     entries.push(DbEntry::Run(RunSummary {
         problem: problem.name.clone(),
         sig,
-        prov: prov.clone(),
-        stats: stats_to_db(stats),
+        prov,
+        stats: stats_to_db(&c.timer.snapshot()),
     }));
     let _span = gptune_trace::global()
         .span("gptune.db.append")
@@ -462,17 +462,8 @@ pub(crate) fn known_failures(
 /// [`crate::tla::transfer_tune`] and [`crate::tla::predict_transfer_config`].
 pub fn history_from_db(db_path: &Path, problem: &TuningProblem) -> std::io::Result<History> {
     let db = Db::open(db_path)?;
-    let sig = problem_signature(problem);
-    let recs = db.query(
-        &problem.name,
-        sig,
-        &Query {
-            n_outputs: Some(problem.n_objectives),
-            ..Default::default()
-        },
-    )?;
     let mut h = History::new(&problem.name);
-    for r in recs {
+    for r in archived_evals(&db, problem, problem_signature(problem))? {
         h.push(db_to_config(&r.task), db_to_config(&r.config), r.outputs);
     }
     Ok(h)
@@ -596,8 +587,35 @@ mod tests {
     }
 
     #[test]
+    fn run_fingerprint_separates_runs() {
+        let p = toy("p");
+        let o = MlaOptions::default().with_seed(4).with_budget(10);
+        let base = run_fingerprint(CheckpointKind::Mla, &o, &p, None);
+        assert_eq!(base, run_fingerprint(CheckpointKind::Mla, &o, &p, None));
+        let mut other_tasks = toy("p");
+        other_tasks.tasks = vec![vec![Value::Real(8.0)], vec![Value::Real(9.0)]];
+        let others = [
+            run_fingerprint(CheckpointKind::MlaMo, &o, &p, None),
+            run_fingerprint(CheckpointKind::Tla, &o, &p, Some(1)),
+            run_fingerprint(CheckpointKind::Mla, &o.clone().with_seed(5), &p, None),
+            run_fingerprint(CheckpointKind::Mla, &o.clone().with_budget(12), &p, None),
+            run_fingerprint(CheckpointKind::Mla, &o, &other_tasks, None),
+        ];
+        for f in others {
+            assert_ne!(f, base);
+        }
+        assert_ne!(
+            run_fingerprint(CheckpointKind::Tla, &o, &p, Some(0)),
+            run_fingerprint(CheckpointKind::Tla, &o, &p, Some(1)),
+        );
+    }
+
+    #[test]
     fn checkpoint_evals_roundtrip() {
-        let evals = Evaluations {
+        let p = toy("ckpt");
+        let o = MlaOptions::default().with_seed(4).with_budget(10);
+        let mut c = Campaign::start(&p, &o, CheckpointKind::Mla, None);
+        c.evals = Evaluations {
             points: vec![
                 (0, vec![Value::Real(0.5), Value::Int(8)]),
                 (1, vec![Value::Real(0.75), Value::Int(16)]),
@@ -610,31 +628,17 @@ mod tests {
                 elapsed_secs: 0.4,
             }],
         };
-        let o = MlaOptions::default().with_seed(4).with_budget(10);
-        let c = checkpoint_from_run(
-            CheckpointKind::Mla,
-            0xabc,
-            &o,
-            &evals,
-            3,
-            7,
-            0,
-            &PhaseStats::default(),
-        );
-        assert!(checkpoint_matches(&c, CheckpointKind::Mla, &o, 2));
-        assert!(!checkpoint_matches(&c, CheckpointKind::MlaMo, &o, 2));
-        assert!(!checkpoint_matches(&c, CheckpointKind::Mla, &o, 1));
-        let other_budget = MlaOptions::default().with_seed(4).with_budget(12);
-        assert!(!checkpoint_matches(
-            &c,
-            CheckpointKind::Mla,
-            &other_budget,
-            2
-        ));
-        let back = evals_from_checkpoint(&c);
-        assert_eq!(back.points, evals.points);
-        assert_eq!(back.outputs, evals.outputs);
-        assert_eq!(back.failures, evals.failures);
+        c.iteration = 3;
+        c.eps = 7;
+        let ckpt = checkpoint_from_run(&c);
+        assert_eq!(ckpt.run, run_fingerprint(CheckpointKind::Mla, &o, &p, None));
+        assert_eq!((ckpt.iteration, ckpt.eps, ckpt.eps_total), (3, 7, 10));
+        assert!(checkpoint_matches(&ckpt, 2));
+        assert!(!checkpoint_matches(&ckpt, 1), "task index out of range");
+        let back = evals_from_checkpoint(&ckpt);
+        assert_eq!(back.points, c.evals.points);
+        assert_eq!(back.outputs, c.evals.outputs);
+        assert_eq!(back.failures, c.evals.failures);
     }
 
     #[test]
@@ -643,7 +647,9 @@ mod tests {
         let db = Db::open(&root).unwrap();
         let p = toy("arch");
         let sig = problem_signature(&p);
-        let evals = Evaluations {
+        let o = MlaOptions::default().with_seed(1).with_budget(2);
+        let mut c = Campaign::start(&p, &o, CheckpointKind::Mla, None);
+        c.evals = Evaluations {
             points: vec![
                 (0, vec![Value::Real(0.5), Value::Int(8)]),
                 (1, vec![Value::Real(0.25), Value::Int(4)]),
@@ -651,9 +657,7 @@ mod tests {
             outputs: vec![vec![1.5], vec![2.5]],
             failures: vec![],
         };
-        let o = MlaOptions::default().with_seed(1).with_budget(2);
-        let prov = provenance(&o, p.n_tasks());
-        let n = archive_run(&db, &p, sig, &evals, 0, &prov, &PhaseStats::default()).unwrap();
+        let n = archive_run(&db, &c).unwrap();
         assert_eq!(n, 3, "2 evals + 1 run summary");
 
         let pre = preload_from_db(&db, &p, sig).unwrap();
@@ -666,8 +670,8 @@ mod tests {
         assert_eq!(h.best_for_task(&p.tasks[0]).unwrap().outputs[0], 1.5);
 
         // Preloaded records are excluded from a later archive pass.
-        let n2 = archive_run(&db, &p, sig, &evals, 2, &prov, &PhaseStats::default()).unwrap();
-        assert_eq!(n2, 1, "only the run summary");
+        c.n_preloaded = 2;
+        assert_eq!(archive_run(&db, &c).unwrap(), 1, "only the run summary");
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -678,7 +682,9 @@ mod tests {
         let p = toy("fails");
         let sig = problem_signature(&p);
         let bad_cfg = vec![Value::Real(0.9), Value::Int(32)];
-        let evals = Evaluations {
+        let o = MlaOptions::default().with_seed(1).with_budget(2);
+        let mut c = Campaign::start(&p, &o, CheckpointKind::Mla, None);
+        c.evals = Evaluations {
             points: vec![
                 (0, vec![Value::Real(0.5), Value::Int(8)]),
                 (1, bad_cfg.clone()),
@@ -691,9 +697,7 @@ mod tests {
                 elapsed_secs: 0.01,
             }],
         };
-        let o = MlaOptions::default().with_seed(1).with_budget(2);
-        let prov = provenance(&o, p.n_tasks());
-        let n = archive_run(&db, &p, sig, &evals, 0, &prov, &PhaseStats::default()).unwrap();
+        let n = archive_run(&db, &c).unwrap();
         assert_eq!(n, 4, "2 evals + 1 fail + 1 run summary");
 
         let known = known_failures(&db, &p, sig).unwrap();
@@ -703,8 +707,8 @@ mod tests {
         assert_eq!(known[0].2, FailureKind::Crashed);
 
         // Failures pointing at preloaded points are not re-archived.
-        let n2 = archive_run(&db, &p, sig, &evals, 2, &prov, &PhaseStats::default()).unwrap();
-        assert_eq!(n2, 1, "only the run summary");
+        c.n_preloaded = 2;
+        assert_eq!(archive_run(&db, &c).unwrap(), 1, "only the run summary");
         let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -17,12 +17,18 @@
 //! once the training set reaches [`gptune_gp::lcm::PARALLEL_MIN_N`]; below
 //! it they run inline, since a thread start on a cold core can then cost
 //! more than the region saves.
+//!
+//! The run lifecycle around the loop — archive, known failures, warm
+//! start, checkpoint/resume, preemption, end-of-run archiving — is the
+//! crate-private `Campaign`, which Algorithm 2
+//! ([`crate::mla_mo::tune_multiobjective`]) and transfer tuning
+//! ([`crate::tla::transfer_tune`]) run as well.
 
 use crate::db_bridge;
 use crate::options::{Acquisition, MlaOptions, SearchMethod};
 use crate::perfmodel::{FeatureScaler, LinearPerfModel};
 use crate::problem::TuningProblem;
-use gptune_db::CheckpointKind;
+use gptune_db::{CheckpointKind, Db};
 use gptune_gp::gp::{expected_improvement, lower_confidence_bound, probability_of_improvement};
 use gptune_gp::lcm::PARALLEL_MIN_N;
 use gptune_gp::{IncrementalLcm, LcmFitOptions, LcmModel, Prediction};
@@ -32,6 +38,8 @@ use gptune_rng::{Rng, SeedableRng, StdRng};
 use gptune_runtime::{EvalOutcome, FailureKind, JobStatus, Phase, PhaseTimer, WorkerGroup};
 use gptune_space::sampling;
 use gptune_space::{Config, Value};
+use gptune_trace::Span;
+use std::time::Duration;
 
 /// Result for one task.
 #[derive(Debug, Clone)]
@@ -99,18 +107,6 @@ pub struct IterationStat {
     pub incumbent: f64,
 }
 
-/// Best finite first-objective value in the archive, skipping warm-start
-/// preloads — the incumbent reported per iteration.
-pub(crate) fn incumbent_of(evals: &Evaluations, n_preloaded: usize) -> f64 {
-    evals
-        .outputs
-        .iter()
-        .skip(n_preloaded)
-        .map(|o| o[0])
-        .filter(|y| y.is_finite())
-        .fold(f64::INFINITY, f64::min)
-}
-
 /// A failed evaluation, classified by the fault-tolerant runtime and kept
 /// alongside the (censored) output it produced.
 #[derive(Debug, Clone, PartialEq)]
@@ -127,7 +123,8 @@ pub(crate) struct EvalFailure {
     pub elapsed_secs: f64,
 }
 
-/// Internal bookkeeping shared with the multi-objective driver.
+/// A run's evaluation archive, shared by the tuning loops and the session.
+#[derive(Default)]
 pub(crate) struct Evaluations {
     /// `(task_idx, config)` of every evaluation, in order.
     pub points: Vec<(usize, Config)>,
@@ -139,19 +136,23 @@ pub(crate) struct Evaluations {
 }
 
 impl Evaluations {
-    pub(crate) fn new() -> Evaluations {
-        Evaluations {
-            points: Vec::new(),
-            outputs: Vec::new(),
-            failures: Vec::new(),
-        }
-    }
-
     /// Deduplication key for a configuration within a task.
     pub(crate) fn contains(&self, task_idx: usize, config: &[Value]) -> bool {
         self.points
             .iter()
             .any(|(t, c)| *t == task_idx && c.as_slice() == config)
+    }
+
+    /// Best finite value of objective `s` on task `task_idx`, on the
+    /// model scale ([`transform_objective`]) — the incumbent the
+    /// acquisition improves on. `INFINITY` while the task has none.
+    pub(crate) fn model_incumbent(&self, task_idx: usize, s: usize, log: bool) -> f64 {
+        self.points
+            .iter()
+            .zip(&self.outputs)
+            .filter(|((t, _), o)| *t == task_idx && o[s].is_finite())
+            .map(|(_, o)| transform_objective(o[s], log))
+            .fold(f64::INFINITY, f64::min)
     }
 }
 
@@ -174,7 +175,7 @@ impl Evaluations {
 /// actually survivable while deterministic behavior is unchanged.
 pub(crate) fn evaluate_batch(
     problem: &TuningProblem,
-    batch: Vec<(usize, Config)>,
+    batch: &[(usize, Config)],
     opts: &MlaOptions,
     timer: &PhaseTimer,
     eval_offset: usize,
@@ -186,10 +187,10 @@ pub(crate) fn evaluate_batch(
 
     // Skip configurations the archive already recorded as failing.
     let mut live: Vec<(usize, (usize, Config))> = Vec::new();
-    for (k, (task_idx, config)) in batch.into_iter().enumerate() {
+    for (k, (task_idx, config)) in batch.iter().enumerate() {
         match known_failed
             .iter()
-            .find(|(t, c, _)| *t == task_idx && *c == config)
+            .find(|(t, c, _)| t == task_idx && c == config)
         {
             Some((_, _, kind)) => {
                 outputs[k] = vec![f64::INFINITY; gamma];
@@ -202,7 +203,7 @@ pub(crate) fn evaluate_batch(
                 timer.add_objective_run(0.0);
                 timer.add_failure(*kind);
             }
-            None => live.push((k, (task_idx, config))),
+            None => live.push((k, (*task_idx, config.clone()))),
         }
     }
 
@@ -316,43 +317,289 @@ pub(crate) fn known_to_fail(
         .any(|(t, c, _)| *t == task_idx && c == config)
 }
 
-/// Failure set persisted by earlier runs, loaded for runs that read from
-/// the archive (warm starts and checkpointed runs) so known-crashing
-/// configurations are never re-executed. Fresh runs without a database
-/// skip nothing.
-// PANIC-SAFETY: an unreadable archive on a run that was explicitly asked
-// to use one is fatal by design (same policy as db_bridge::open_db).
-#[allow(clippy::panic)]
-pub(crate) fn load_known_failures(
-    db: &Option<gptune_db::Db>,
-    problem: &TuningProblem,
-    sig: u64,
-    opts: &MlaOptions,
-) -> Vec<(usize, Config, FailureKind)> {
-    if !(opts.warm_start_from_db || opts.checkpointing()) {
-        return Vec::new();
+/// One tuning run's lifecycle — the part [`tune`],
+/// [`crate::mla_mo::tune_multiobjective`] and [`crate::tla::transfer_tune`]
+/// share. It owns the phase timer, the archive handle, the known-failure
+/// set, the evaluation archive and the iteration counters: it opens or
+/// resumes the run, evaluates batches, checkpoints after sampling, every
+/// [`MlaOptions::checkpoint_every`] iterations and on preemption, and
+/// finally archives the run and clears its checkpoint. Each loop adds its
+/// own initial design, modeling, search and result assembly.
+///
+/// The checkpoint is keyed by the run fingerprint
+/// ([`db_bridge::run_fingerprint`]), so a run adopts, overwrites and clears
+/// only the checkpoint it wrote itself.
+pub(crate) struct Campaign<'a> {
+    pub problem: &'a TuningProblem,
+    pub opts: &'a MlaOptions,
+    /// Which loop runs the campaign.
+    pub kind: CheckpointKind,
+    pub timer: PhaseTimer,
+    db: Option<Db>,
+    /// Problem signature (journal key).
+    pub sig: u64,
+    /// Run fingerprint (checkpoint key).
+    pub run: u64,
+    /// Configurations the archive records as failing; never re-executed.
+    pub known_failed: Vec<(usize, Config, FailureKind)>,
+    pub evals: Evaluations,
+    /// Completed iterations (continues across a resume).
+    pub iteration: usize,
+    /// Per-task evaluations consumed so far (`ε`).
+    pub eps: usize,
+    /// Preloaded archive records at the head of `evals`: observations for
+    /// the surrogate, but not this run's budget, results or archive.
+    pub n_preloaded: usize,
+    /// Rows of the iterations this process ran.
+    pub stats: Vec<IterationStat>,
+    /// `true` when [`Campaign::start`] adopted a checkpoint, so the
+    /// sampling phase has already run.
+    pub resumed: bool,
+    /// `false` once [`MlaOptions::stop_after_iterations`] preempted the run.
+    pub completed: bool,
+    iters_this_process: usize,
+}
+
+impl<'a> Campaign<'a> {
+    /// Starts the run: opens the archive configured in `opts`, loads the
+    /// failure set earlier runs recorded (for runs that read the archive:
+    /// warm starts and checkpointed runs), and adopts this run's checkpoint
+    /// when one exists. `target` is the TLA target task, `None` for the MLA
+    /// loops.
+    pub(crate) fn start(
+        problem: &'a TuningProblem,
+        opts: &'a MlaOptions,
+        kind: CheckpointKind,
+        target: Option<usize>,
+    ) -> Campaign<'a> {
+        let mut c = Campaign {
+            problem,
+            opts,
+            kind,
+            timer: PhaseTimer::new(),
+            db: db_bridge::open_db(opts),
+            sig: db_bridge::problem_signature(problem),
+            run: db_bridge::run_fingerprint(kind, opts, problem, target),
+            known_failed: Vec::new(),
+            evals: Evaluations::default(),
+            iteration: 0,
+            eps: 0,
+            n_preloaded: 0,
+            stats: Vec::new(),
+            resumed: false,
+            completed: true,
+            iters_this_process: 0,
+        };
+        if let Some(db) =
+            c.db.as_ref()
+                .filter(|_| opts.warm_start_from_db || opts.checkpointing())
+        {
+            // PANIC-SAFETY: an unreadable archive on a run that was
+            // explicitly asked to use one is fatal by design (same policy
+            // as db_bridge::open_db).
+            #[allow(clippy::panic)]
+            let known = db_bridge::known_failures(db, problem, c.sig)
+                .unwrap_or_else(|e| panic!("gptune-db: cannot read failure records: {e}"));
+            c.known_failed = known;
+        }
+        let loaded = c
+            .checkpoint_db()
+            .map(|db| db_bridge::load_checkpoint_traced(db, c.sig, c.run));
+        match loaded {
+            Some(Ok(Some(ckpt))) if db_bridge::checkpoint_matches(&ckpt, problem.n_tasks()) => {
+                c.evals = db_bridge::evals_from_checkpoint(&ckpt);
+                c.iteration = ckpt.iteration;
+                c.eps = ckpt.eps;
+                c.n_preloaded = ckpt.n_preloaded;
+                c.timer.restore(db_bridge::stats_from_db(&ckpt.stats));
+                c.resumed = true;
+            }
+            Some(Err(e)) => eprintln!("gptune-db: ignoring unreadable checkpoint: {e}"),
+            _ => {} // no checkpoint, or an unsound one
+        }
+        c
     }
-    match db {
-        Some(db) => db_bridge::known_failures(db, problem, sig)
-            .unwrap_or_else(|e| panic!("gptune-db: cannot read failure records: {e}")),
-        None => Vec::new(),
+
+    /// The archive, when this run reads and writes checkpoints.
+    fn checkpoint_db(&self) -> Option<&Db> {
+        self.db.as_ref().filter(|_| self.opts.checkpointing())
+    }
+
+    /// Persists the in-flight state when this run checkpoints.
+    fn checkpoint(&self) {
+        if let Some(db) = self.checkpoint_db() {
+            db_bridge::write_checkpoint(db, self);
+        }
+    }
+
+    /// The MLA warm start: preloads the archive's matching records when
+    /// [`MlaOptions::warm_start_from_db`] asks for them.
+    pub(crate) fn warm_start(&mut self) {
+        let Some(db) = self.db.as_ref().filter(|_| self.opts.warm_start_from_db) else {
+            return;
+        };
+        // PANIC-SAFETY: unreadable archive on an explicit warm-start
+        // request is fatal by design.
+        #[allow(clippy::panic)]
+        let records = db_bridge::preload_from_db(db, self.problem, self.sig)
+            .unwrap_or_else(|e| panic!("gptune-db: cannot read archive: {e}"));
+        self.preload(records);
+    }
+
+    /// Stores `(task, config, outputs)` records ahead of this run's own
+    /// evaluations, skipping duplicates: free observations for the
+    /// surrogate, excluded from the budget, the results and the archive.
+    pub(crate) fn preload(&mut self, records: impl IntoIterator<Item = (usize, Config, Vec<f64>)>) {
+        for (t, cfg, out) in records {
+            if !self.evals.contains(t, &cfg) {
+                self.evals.points.push((t, cfg));
+                self.evals.outputs.push(out);
+            }
+        }
+        self.n_preloaded = self.evals.points.len();
+    }
+
+    /// Evaluations this run made itself: the archive past its preloads.
+    pub(crate) fn n_fresh(&self) -> usize {
+        self.evals.points.len() - self.n_preloaded
+    }
+
+    /// This run's own `((task, config), outputs)` pairs, in order.
+    pub(crate) fn fresh(&self) -> impl Iterator<Item = (&(usize, Config), &Vec<f64>)> {
+        self.evals
+            .points
+            .iter()
+            .zip(&self.evals.outputs)
+            .skip(self.n_preloaded)
+    }
+
+    /// Evaluates `batch` under [`Phase::Objective`] and appends it, with
+    /// its failures, to the archive.
+    pub(crate) fn evaluate(&mut self, batch: Vec<(usize, Config)>) {
+        let offset = self.evals.points.len();
+        let (outputs, fails) = self.timer.time(Phase::Objective, || {
+            evaluate_batch(
+                self.problem,
+                &batch,
+                self.opts,
+                &self.timer,
+                offset,
+                &self.known_failed,
+            )
+        });
+        self.evals.points.extend(batch);
+        self.evals.outputs.extend(outputs);
+        self.evals.failures.extend(fails);
+    }
+
+    /// Ends the sampling phase at `eps`, checkpointing the (expensive)
+    /// initial design at once: a run killed in its first iteration then
+    /// resumes without re-evaluating it.
+    pub(crate) fn end_sampling(&mut self, eps: usize) {
+        self.eps = eps;
+        self.checkpoint();
+    }
+
+    /// Whether to run another iteration: budget remains, and
+    /// [`MlaOptions::stop_after_iterations`] has not preempted this
+    /// process (which marks the run incomplete).
+    pub(crate) fn next_iteration(&mut self) -> bool {
+        if self.eps >= self.opts.eps_total {
+            return false;
+        }
+        if self
+            .opts
+            .stop_after_iterations
+            .is_some_and(|n| self.iters_this_process >= n)
+        {
+            self.completed = false;
+            return false;
+        }
+        true
+    }
+
+    /// Ends an iteration: records its row, closes its span, advances `ε`
+    /// by `eps_step`, and writes the periodic checkpoint outside the span.
+    pub(crate) fn end_iteration(
+        &mut self,
+        span: Span,
+        eps_step: usize,
+        modeling_wall: Duration,
+        search_wall: Duration,
+    ) {
+        self.stats.push(IterationStat {
+            iteration: self.iteration,
+            n_evals: self.n_fresh(),
+            modeling_wall,
+            search_wall,
+            incumbent: self
+                .fresh()
+                .map(|(_, o)| o[0])
+                .filter(|y| y.is_finite())
+                .fold(f64::INFINITY, f64::min),
+        });
+        drop(span);
+        self.eps += eps_step;
+        self.iteration += 1;
+        self.iters_this_process += 1;
+        if self.opts.checkpointing() && self.iteration.is_multiple_of(self.opts.checkpoint_every) {
+            self.checkpoint();
+        }
+    }
+
+    /// Ends the run. A completed run archives its own evaluations and
+    /// clears its checkpoint; a preempted one persists its final
+    /// in-flight state for the resumer.
+    pub(crate) fn finish(&self) {
+        let Some(db) = &self.db else {
+            return;
+        };
+        if !self.completed {
+            self.checkpoint();
+            return;
+        }
+        // PANIC-SAFETY: losing the final archive write would silently
+        // discard the run's results; fail loudly instead.
+        #[allow(clippy::panic)]
+        db_bridge::archive_run(db, self)
+            .unwrap_or_else(|e| panic!("gptune-db: cannot archive run: {e}"));
+        if self.opts.checkpointing() {
+            let _ = db.clear_checkpoint(self.sig, self.run);
+        }
     }
 }
 
-/// Draws the initial per-task designs (sampling phase). Configurations in
-/// `known_failed` are redrawn like infeasible ones, so a warm start spends
-/// its budget on configurations that can still succeed.
-pub(crate) fn initial_designs(
-    problem: &TuningProblem,
-    n_init: usize,
-    rng: &mut StdRng,
-    known_failed: &[(usize, Config, FailureKind)],
-) -> Vec<(usize, Config)> {
+/// Runs `search_one` for every task: on up to `opts.search_workers`
+/// threads once the training set of `n` points reaches [`PARALLEL_MIN_N`],
+/// inline below it.
+pub(crate) fn search_tasks<T: Send>(
+    n: usize,
+    delta: usize,
+    opts: &MlaOptions,
+    search_one: impl Fn(usize) -> T + Sync,
+) -> Vec<T> {
+    if n >= PARALLEL_MIN_N {
+        par::with_width(opts.search_workers, || par::map_indexed(delta, search_one))
+    } else {
+        (0..delta).map(search_one).collect()
+    }
+}
+
+/// The sampling phase of a fresh Algorithm 1 or 2 run: the warm start,
+/// then an initial design of `ε_tot/2` configurations per task.
+/// Configurations the archive knows to fail are redrawn like infeasible
+/// ones, so a warm start spends its budget on configurations that can
+/// still succeed.
+pub(crate) fn sampling_phase(c: &mut Campaign<'_>) {
+    c.warm_start();
+    let (problem, n_init) = (c.problem, c.opts.initial_samples());
+    let mut rng = StdRng::seed_from_u64(c.opts.seed);
     let mut batch = Vec::with_capacity(n_init * problem.n_tasks());
     for task_idx in 0..problem.n_tasks() {
-        let samples = sampling::sample_space_where(&problem.tuning_space, n_init, rng, 200, |c| {
-            !known_to_fail(known_failed, task_idx, c)
-        });
+        let samples =
+            sampling::sample_space_where(&problem.tuning_space, n_init, &mut rng, 200, |cfg| {
+                !known_to_fail(&c.known_failed, task_idx, cfg)
+            });
         assert!(
             !samples.is_empty(),
             "no feasible configuration found for task {task_idx} — check constraints"
@@ -361,7 +608,8 @@ pub(crate) fn initial_designs(
             batch.push((task_idx, s));
         }
     }
-    batch
+    c.evaluate(batch);
+    c.end_sampling(c.n_fresh() / problem.n_tasks().max(1));
 }
 
 /// The surrogate input representation: normalized tuning coordinates plus
@@ -683,121 +931,33 @@ pub fn tune(problem: &TuningProblem, opts: &MlaOptions) -> MlaResult {
         "mla::tune is single-objective; γ = {} given",
         problem.n_objectives
     );
-    let timer = PhaseTimer::new();
     let delta = problem.n_tasks();
-    let n_init = opts.initial_samples();
-    let db = db_bridge::open_db(opts);
-    let sig = db_bridge::problem_signature(problem);
-    let known_failed = load_known_failures(&db, problem, sig, opts);
-
-    // --- Resume: adopt a checkpoint that matches this exact run ---
-    let mut evals = Evaluations::new();
-    let mut iteration = 0usize;
-    let mut eps = 0usize;
-    let mut n_preloaded = 0usize;
-    let mut resumed = false;
-    if opts.checkpointing() {
-        // PANIC-SAFETY: MlaOptions::checkpointing() returns true only when
-        // db_path is set, and open_db opened a Db for every set db_path.
-        #[allow(clippy::expect_used)]
-        let db = db.as_ref().expect("checkpointing() implies db_path");
-        match db_bridge::load_checkpoint_traced(db, sig, opts.seed) {
-            Ok(Some(ckpt))
-                if db_bridge::checkpoint_matches(&ckpt, CheckpointKind::Mla, opts, delta) =>
-            {
-                evals = db_bridge::evals_from_checkpoint(&ckpt);
-                iteration = ckpt.iteration;
-                eps = ckpt.eps;
-                n_preloaded = ckpt.n_preloaded;
-                timer.restore(db_bridge::stats_from_db(&ckpt.stats));
-                resumed = true;
-            }
-            Ok(_) => {} // no checkpoint, or one from a different run shape
-            Err(e) => eprintln!("gptune-db: ignoring unreadable checkpoint: {e}"),
-        }
-    }
-
-    if !resumed {
-        // --- Warm start: preload matching archived evaluations (free
-        // observations for the surrogate; excluded from budget/results) ---
-        if opts.warm_start_from_db {
-            if let Some(db) = &db {
-                // PANIC-SAFETY: unreadable archive on an explicit
-                // warm-start request is fatal by design.
-                #[allow(clippy::panic)]
-                let pre = db_bridge::preload_from_db(db, problem, sig)
-                    .unwrap_or_else(|e| panic!("gptune-db: cannot read archive: {e}"));
-                for (t, cfg, out) in pre {
-                    if !evals.contains(t, &cfg) {
-                        evals.points.push((t, cfg));
-                        evals.outputs.push(out);
-                    }
-                }
-                n_preloaded = evals.points.len();
-            }
-        }
-
-        // --- Sampling phase ---
-        let mut rng = StdRng::seed_from_u64(opts.seed);
-        let batch = initial_designs(problem, n_init, &mut rng, &known_failed);
-        let offset = evals.points.len();
-        let (outputs, fails) = timer.time(Phase::Objective, || {
-            evaluate_batch(problem, batch.clone(), opts, &timer, offset, &known_failed)
-        });
-        evals.points.extend(batch);
-        evals.outputs.extend(outputs);
-        evals.failures.extend(fails);
-        eps = (evals.points.len() - n_preloaded) / delta.max(1);
-
-        // Checkpoint the (expensive) initial design immediately: a run
-        // killed in its first iteration then resumes without re-evaluating.
-        if opts.checkpointing() {
-            // PANIC-SAFETY: checkpointing() implies db_path is set, and
-            // open_db opened a Db for every set db_path.
-            #[allow(clippy::expect_used)]
-            db_bridge::write_checkpoint(
-                db.as_ref().expect("checkpointing() implies db_path"),
-                CheckpointKind::Mla,
-                sig,
-                opts,
-                &evals,
-                iteration,
-                eps,
-                n_preloaded,
-                &timer.snapshot(),
-            );
-        }
+    let mut c = Campaign::start(problem, opts, CheckpointKind::Mla, None);
+    if !c.resumed {
+        sampling_phase(&mut c);
     }
 
     // --- MLA iterations ---
-    let mut iters_this_process = 0usize;
-    let mut iteration_stats: Vec<IterationStat> = Vec::new();
-    let mut completed = true;
     // Persistent surrogate: under an incremental `opts.refit` schedule,
     // iterations between full refits extend the existing Cholesky factor
     // in O(n²) instead of re-optimizing hyperparameters from scratch.
     let mut surrogate = IncrementalLcm::new(opts.refit);
-    while eps < opts.eps_total {
-        if opts
-            .stop_after_iterations
-            .is_some_and(|n| iters_this_process >= n)
-        {
-            completed = false;
-            break;
-        }
-        let iter_span = timer
+    while c.next_iteration() {
+        let iteration = c.iteration;
+        let iter_span = c
+            .timer
             .tracer()
             .span("gptune.core.mla.iteration")
             .with("iteration", iteration as u64)
-            .with("eps", eps as u64);
+            .with("eps", c.eps as u64);
         // Modeling phase.
-        let (inputs, y) = build_inputs(problem, &evals, 0, opts);
+        let (inputs, y) = build_inputs(problem, &c.evals, 0, opts);
         let lcm_opts = LcmFitOptions {
             seed: opts.lcm.seed.wrapping_add(iteration as u64 * 7919),
             ..opts.lcm.clone()
         };
         let (_refit_mode, modeling_wall) =
-            timer.time_iter(Phase::Modeling, iteration as u64, || {
+            c.timer.time_iter(Phase::Modeling, iteration as u64, || {
                 par::with_width(opts.model_workers, || {
                     surrogate.update(&inputs.xs, &inputs.task_of, &y, delta, &lcm_opts)
                 })
@@ -806,167 +966,64 @@ pub fn tune(problem: &TuningProblem, opts: &MlaOptions) -> MlaResult {
         #[allow(clippy::expect_used)]
         let model = surrogate.model().expect("surrogate updated this iteration");
 
-        // Search phase: one new point per task, parallel over tasks once
-        // the training set reaches the size gate.
-        let (new_points, search_wall): (Vec<(usize, Config)>, _) =
-            timer.time_iter(Phase::Search, iteration as u64, || {
-                let seeds: Vec<u64> = (0..delta)
-                    .map(|i| {
-                        opts.seed
-                            .wrapping_add(0x5bd1e995)
-                            .wrapping_mul(iteration as u64 + 1)
-                            .wrapping_add(i as u64 * 104729)
-                    })
-                    .collect();
-                let search_one = |task_idx: usize| {
-                    let mut trng = StdRng::seed_from_u64(seeds[task_idx]);
-                    let y_best_model = evals
-                        .points
-                        .iter()
-                        .zip(&evals.outputs)
-                        .filter(|((t, _), o)| *t == task_idx && o[0].is_finite())
-                        .map(|(_, o)| transform_objective(o[0], opts.log_objective))
-                        .fold(f64::INFINITY, f64::min);
-                    let cfg = search_task(
-                        problem,
-                        model,
-                        &inputs,
-                        &evals,
-                        task_idx,
-                        y_best_model,
-                        opts,
-                        &known_failed,
-                        &mut trng,
-                    );
-                    (task_idx, cfg)
-                };
-                if inputs.xs.len() >= PARALLEL_MIN_N {
-                    par::with_width(opts.search_workers, || par::map_indexed(delta, search_one))
-                } else {
-                    (0..delta).map(search_one).collect()
-                }
-            });
+        // Search phase: one new point per task.
+        let (new_points, search_wall) = c.timer.time_iter(Phase::Search, iteration as u64, || {
+            let seeds: Vec<u64> = (0..delta)
+                .map(|i| {
+                    opts.seed
+                        .wrapping_add(0x5bd1e995)
+                        .wrapping_mul(iteration as u64 + 1)
+                        .wrapping_add(i as u64 * 104729)
+                })
+                .collect();
+            search_tasks(inputs.xs.len(), delta, opts, |task_idx| {
+                let mut trng = StdRng::seed_from_u64(seeds[task_idx]);
+                let y_best_model = c.evals.model_incumbent(task_idx, 0, opts.log_objective);
+                let cfg = search_task(
+                    problem,
+                    model,
+                    &inputs,
+                    &c.evals,
+                    task_idx,
+                    y_best_model,
+                    opts,
+                    &c.known_failed,
+                    &mut trng,
+                );
+                (task_idx, cfg)
+            })
+        });
 
         // Evaluate the δ new points.
-        let offset = evals.points.len();
-        let (outputs, fails) = timer.time(Phase::Objective, || {
-            evaluate_batch(
-                problem,
-                new_points.clone(),
-                opts,
-                &timer,
-                offset,
-                &known_failed,
-            )
-        });
-        evals.points.extend(new_points);
-        evals.outputs.extend(outputs);
-        evals.failures.extend(fails);
-        iteration_stats.push(IterationStat {
-            iteration,
-            n_evals: evals.points.len() - n_preloaded,
-            modeling_wall,
-            search_wall,
-            incumbent: incumbent_of(&evals, n_preloaded),
-        });
-        drop(iter_span);
-        eps += 1;
-        iteration += 1;
-        iters_this_process += 1;
-
-        if opts.checkpointing() && iteration.is_multiple_of(opts.checkpoint_every) {
-            // PANIC-SAFETY: checkpointing() implies db_path is set, and
-            // open_db opened a Db for every set db_path.
-            #[allow(clippy::expect_used)]
-            db_bridge::write_checkpoint(
-                db.as_ref().expect("checkpointing() implies db_path"),
-                CheckpointKind::Mla,
-                sig,
-                opts,
-                &evals,
-                iteration,
-                eps,
-                n_preloaded,
-                &timer.snapshot(),
-            );
-        }
+        c.evaluate(new_points);
+        c.end_iteration(iter_span, 1, modeling_wall, search_wall);
     }
-
-    // --- Archive / checkpoint the outcome ---
-    if let Some(db) = &db {
-        if completed {
-            let prov = db_bridge::provenance(opts, delta);
-            // PANIC-SAFETY: losing the final archive write would silently
-            // discard the run's results; fail loudly instead.
-            #[allow(clippy::panic)]
-            db_bridge::archive_run(
-                db,
-                problem,
-                sig,
-                &evals,
-                n_preloaded,
-                &prov,
-                &timer.snapshot(),
-            )
-            .unwrap_or_else(|e| panic!("gptune-db: cannot archive run: {e}"));
-            if opts.checkpointing() {
-                let _ = db.clear_checkpoint(sig, opts.seed);
-            }
-        } else if opts.checkpointing() {
-            // Preempted: persist the final in-flight state for the resumer.
-            db_bridge::write_checkpoint(
-                db,
-                CheckpointKind::Mla,
-                sig,
-                opts,
-                &evals,
-                iteration,
-                eps,
-                n_preloaded,
-                &timer.snapshot(),
-            );
-        }
-    }
-
-    finalize(
-        problem,
-        evals,
-        timer,
-        iteration_stats,
-        n_preloaded,
-        completed,
-    )
+    c.finish();
+    finalize(c)
 }
 
-/// Assembles per-task results from the evaluation archive. The first
-/// `n_preloaded` evaluations are archived warm-start records, not this
-/// run's work — they informed the surrogate but are excluded from the
-/// reported samples/best so budgeted runs stay comparable.
-pub(crate) fn finalize(
-    problem: &TuningProblem,
-    evals: Evaluations,
-    timer: PhaseTimer,
-    iterations: Vec<IterationStat>,
-    n_preloaded: usize,
-    completed: bool,
-) -> MlaResult {
-    let per_task = (0..problem.n_tasks())
+/// Assembles per-task results from the evaluation archive. Preloaded
+/// (warm-start) records informed the surrogate but are not this run's
+/// work: they are excluded from the reported samples/best so budgeted runs
+/// stay comparable.
+fn finalize(c: Campaign<'_>) -> MlaResult {
+    let per_task = (0..c.problem.n_tasks())
         .map(|task_idx| {
             let mut samples = Vec::new();
             let mut best_value = f64::INFINITY;
             let mut best_config: Option<Config> = None;
-            for ((t, c), o) in evals.points.iter().zip(&evals.outputs).skip(n_preloaded) {
+            for ((t, cfg), o) in c.fresh() {
                 if *t != task_idx {
                     continue;
                 }
-                samples.push((c.clone(), o[0]));
+                samples.push((cfg.clone(), o[0]));
                 if o[0] < best_value {
                     best_value = o[0];
-                    best_config = Some(c.clone());
+                    best_config = Some(cfg.clone());
                 }
             }
             TaskResult {
-                task: problem.tasks[task_idx].clone(),
+                task: c.problem.tasks[task_idx].clone(),
                 best_config: best_config
                     .unwrap_or_else(|| samples.first().map(|(c, _)| c.clone()).unwrap_or_default()),
                 best_value,
@@ -976,9 +1033,9 @@ pub(crate) fn finalize(
         .collect();
     MlaResult {
         per_task,
-        stats: timer.snapshot(),
-        iterations,
-        completed,
+        stats: c.timer.snapshot(),
+        iterations: c.stats,
+        completed: c.completed,
     }
 }
 
@@ -1280,7 +1337,7 @@ mod tests {
         let timer = PhaseTimer::new();
         let (outputs, fails) = evaluate_batch(
             &p,
-            vec![(0, bad), (0, good)],
+            &[(0, bad), (0, good)],
             &MlaOptions::default(),
             &timer,
             5,

@@ -6,21 +6,18 @@
 //! per iteration. The result per task is the Pareto front of the
 //! *observed* samples (the black dots of Fig. 7).
 
-use crate::db_bridge;
 use crate::mla::{
-    build_inputs, evaluate_batch, incumbent_of, initial_designs, known_to_fail,
-    load_known_failures, transform_objective, Evaluations, IterationStat,
+    build_inputs, known_to_fail, sampling_phase, search_tasks, Campaign, IterationStat,
 };
 use crate::options::MlaOptions;
 use crate::problem::TuningProblem;
 use gptune_db::CheckpointKind;
 use gptune_gp::gp::expected_improvement;
-use gptune_gp::lcm::PARALLEL_MIN_N;
 use gptune_gp::{IncrementalLcm, LcmFitOptions, LcmModel};
 use gptune_la::par;
 use gptune_opt::nsga2::{self, pareto_front_indices};
 use gptune_rng::{SeedableRng, StdRng};
-use gptune_runtime::{Phase, PhaseTimer};
+use gptune_runtime::Phase;
 use gptune_space::{sampling, Config};
 
 /// One point of a task's observed Pareto front.
@@ -62,123 +59,39 @@ pub struct MoMlaResult {
 
 /// Runs multi-objective multitask MLA (Algorithm 2).
 ///
-/// Shares the archive/checkpoint/resume machinery of [`crate::mla::tune`]:
+/// Shares the run lifecycle (`mla::Campaign`) of [`crate::mla::tune`]:
 /// with [`MlaOptions::with_db`] completed runs archive their evaluations,
-/// and with [`MlaOptions::checkpoint_every`] an interrupted run resumes to
-/// the identical result an uninterrupted run would have produced.
+/// warm starts preload matching archived records, and with
+/// [`MlaOptions::checkpoint_every`] an interrupted run resumes to the
+/// identical result an uninterrupted run would have produced.
 pub fn tune_multiobjective(problem: &TuningProblem, opts: &MlaOptions) -> MoMlaResult {
     let gamma = problem.n_objectives;
     assert!(gamma >= 2, "use mla::tune for single-objective problems");
-    let timer = PhaseTimer::new();
     let delta = problem.n_tasks();
-    let n_init = opts.initial_samples();
     let k = opts.k_per_iter.max(1);
-    let db = db_bridge::open_db(opts);
-    let sig = db_bridge::problem_signature(problem);
-    let known_failed = load_known_failures(&db, problem, sig, opts);
-
-    // --- Resume: adopt a checkpoint that matches this exact run ---
-    let mut evals = Evaluations::new();
-    let mut iteration = 0usize;
-    let mut eps = 0usize;
-    let mut n_preloaded = 0usize;
-    let mut resumed = false;
-    if opts.checkpointing() {
-        // PANIC-SAFETY: MlaOptions::checkpointing() returns true only when
-        // db_path is set, and open_db opened a Db for every set db_path.
-        #[allow(clippy::expect_used)]
-        let db = db.as_ref().expect("checkpointing() implies db_path");
-        match db_bridge::load_checkpoint_traced(db, sig, opts.seed) {
-            Ok(Some(ckpt))
-                if db_bridge::checkpoint_matches(&ckpt, CheckpointKind::MlaMo, opts, delta) =>
-            {
-                evals = db_bridge::evals_from_checkpoint(&ckpt);
-                iteration = ckpt.iteration;
-                eps = ckpt.eps;
-                n_preloaded = ckpt.n_preloaded;
-                timer.restore(db_bridge::stats_from_db(&ckpt.stats));
-                resumed = true;
-            }
-            Ok(_) => {}
-            Err(e) => eprintln!("gptune-db: ignoring unreadable checkpoint: {e}"),
-        }
+    let mut c = Campaign::start(problem, opts, CheckpointKind::MlaMo, None);
+    if !c.resumed {
+        sampling_phase(&mut c);
     }
 
-    if !resumed {
-        // --- Warm start from the archive ---
-        if opts.warm_start_from_db {
-            if let Some(db) = &db {
-                // PANIC-SAFETY: unreadable archive on an explicit
-                // warm-start request is fatal by design.
-                #[allow(clippy::panic)]
-                let pre = db_bridge::preload_from_db(db, problem, sig)
-                    .unwrap_or_else(|e| panic!("gptune-db: cannot read archive: {e}"));
-                for (t, cfg, out) in pre {
-                    if !evals.contains(t, &cfg) {
-                        evals.points.push((t, cfg));
-                        evals.outputs.push(out);
-                    }
-                }
-                n_preloaded = evals.points.len();
-            }
-        }
-
-        // --- Sampling phase ---
-        let mut rng = StdRng::seed_from_u64(opts.seed);
-        let batch = initial_designs(problem, n_init, &mut rng, &known_failed);
-        let offset = evals.points.len();
-        let (outputs, fails) = timer.time(Phase::Objective, || {
-            evaluate_batch(problem, batch.clone(), opts, &timer, offset, &known_failed)
-        });
-        evals.points.extend(batch);
-        evals.outputs.extend(outputs);
-        evals.failures.extend(fails);
-        eps = (evals.points.len() - n_preloaded) / delta.max(1);
-
-        if opts.checkpointing() {
-            // PANIC-SAFETY: checkpointing() implies db_path is set, and
-            // open_db opened a Db for every set db_path.
-            #[allow(clippy::expect_used)]
-            db_bridge::write_checkpoint(
-                db.as_ref().expect("checkpointing() implies db_path"),
-                CheckpointKind::MlaMo,
-                sig,
-                opts,
-                &evals,
-                iteration,
-                eps,
-                n_preloaded,
-                &timer.snapshot(),
-            );
-        }
-    }
-
-    let mut iters_this_process = 0usize;
-    let mut iteration_stats: Vec<IterationStat> = Vec::new();
-    let mut completed = true;
     // One persistent surrogate per objective: an incremental `opts.refit`
     // schedule extends each factor in O(n²) between full refits.
     let mut surrogates: Vec<IncrementalLcm> = (0..gamma)
         .map(|_| IncrementalLcm::new(opts.refit))
         .collect();
-    while eps < opts.eps_total {
-        if opts
-            .stop_after_iterations
-            .is_some_and(|n| iters_this_process >= n)
-        {
-            completed = false;
-            break;
-        }
-        let iter_span = timer
+    while c.next_iteration() {
+        let iteration = c.iteration;
+        let iter_span = c
+            .timer
             .tracer()
             .span("gptune.core.mla_mo.iteration")
             .with("iteration", iteration as u64)
-            .with("eps", eps as u64);
+            .with("eps", c.eps as u64);
         // Modeling phase: one LCM per objective (paper line 3 of Alg. 2).
         let per_objective: Vec<_> = (0..gamma)
-            .map(|s| build_inputs(problem, &evals, s, opts))
+            .map(|s| build_inputs(problem, &c.evals, s, opts))
             .collect();
-        let ((), modeling_wall) = timer.time_iter(Phase::Modeling, iteration as u64, || {
+        let ((), modeling_wall) = c.timer.time_iter(Phase::Modeling, iteration as u64, || {
             par::with_width(opts.model_workers, || {
                 for (s, (inputs, y)) in per_objective.iter().enumerate() {
                     let lcm_opts = LcmFitOptions {
@@ -201,220 +114,128 @@ pub fn tune_multiobjective(problem: &TuningProblem, opts: &MlaOptions) -> MoMlaR
             .collect();
 
         // Search phase: NSGA-II over the vector of −EI_s per task.
-        let (new_points, search_wall): (Vec<(usize, Config)>, _) =
-            timer.time_iter(Phase::Search, iteration as u64, || {
-                let seeds: Vec<u64> = (0..delta)
-                    .map(|i| {
-                        opts.seed
-                            .wrapping_add(0xabcd_ef12)
-                            .wrapping_mul(iteration as u64 + 3)
-                            .wrapping_add(i as u64 * 7561)
-                    })
+        let (new_points, search_wall) = c.timer.time_iter(Phase::Search, iteration as u64, || {
+            let seeds: Vec<u64> = (0..delta)
+                .map(|i| {
+                    opts.seed
+                        .wrapping_add(0xabcd_ef12)
+                        .wrapping_mul(iteration as u64 + 3)
+                        .wrapping_add(i as u64 * 7561)
+                })
+                .collect();
+            let evals = &c.evals;
+            let search_one = |task_idx: usize| {
+                let mut trng = StdRng::seed_from_u64(seeds[task_idx]);
+                // Per-objective incumbents (model scale).
+                let y_best: Vec<f64> = (0..gamma)
+                    .map(|s| evals.model_incumbent(task_idx, s, opts.log_objective))
                     .collect();
-                let search_one = |task_idx: usize| {
-                    let mut trng = StdRng::seed_from_u64(seeds[task_idx]);
-                    // Per-objective incumbents (model scale).
-                    let y_best: Vec<f64> = (0..gamma)
-                        .map(|s| {
-                            evals
-                                .points
-                                .iter()
-                                .zip(&evals.outputs)
-                                .filter(|((t, _), o)| *t == task_idx && o[s].is_finite())
-                                .map(|(_, o)| transform_objective(o[s], opts.log_objective))
-                                .fold(f64::INFINITY, f64::min)
-                        })
-                        .collect();
 
-                    let beta = problem.beta();
-                    // Batched vector acquisition: each NSGA-II
-                    // generation is scored through one blocked
-                    // multi-RHS posterior solve per objective
-                    // ([`LcmModel::predict_batch`]) instead of a
-                    // triangular solve per individual per objective.
-                    let mut acq = |us: &[Vec<f64>]| -> Vec<Vec<f64>> {
-                        let mut out = vec![vec![0.0; gamma]; us.len()];
-                        let mut live: Vec<usize> = Vec::with_capacity(us.len());
-                        let mut configs: Vec<Config> = Vec::with_capacity(us.len());
-                        for (i, u) in us.iter().enumerate() {
-                            let config = problem.tuning_space.denormalize(u);
-                            if problem.tuning_space.is_valid(&config)
-                                && !known_to_fail(&known_failed, task_idx, &config)
-                            {
-                                live.push(i);
-                                configs.push(config);
-                            }
+                let beta = problem.beta();
+                // Batched vector acquisition: each NSGA-II generation is
+                // scored through one blocked multi-RHS posterior solve per
+                // objective ([`LcmModel::predict_batch`]) instead of a
+                // triangular solve per individual per objective.
+                let mut acq = |us: &[Vec<f64>]| -> Vec<Vec<f64>> {
+                    let mut out = vec![vec![0.0; gamma]; us.len()];
+                    let mut live: Vec<usize> = Vec::with_capacity(us.len());
+                    let mut configs: Vec<Config> = Vec::with_capacity(us.len());
+                    for (i, u) in us.iter().enumerate() {
+                        let config = problem.tuning_space.denormalize(u);
+                        if problem.tuning_space.is_valid(&config)
+                            && !known_to_fail(&c.known_failed, task_idx, &config)
+                        {
+                            live.push(i);
+                            configs.push(config);
                         }
-                        for s in 0..gamma {
-                            let (inputs, _) = &per_objective[s];
-                            let xs_model: Vec<Vec<f64>> = live
-                                .iter()
-                                .zip(&configs)
-                                .map(|(&i, config)| match &inputs.enrich {
-                                    Some(e) => {
-                                        let mut v = us[i].clone();
-                                        v.extend(e.features(problem, task_idx, config));
-                                        v
-                                    }
-                                    None => us[i].clone(),
-                                })
-                                .collect();
-                            let preds = models[s].predict_batch(task_idx, &xs_model);
-                            for (&i, pred) in live.iter().zip(&preds) {
-                                out[i][s] = -expected_improvement(pred, y_best[s]);
-                            }
+                    }
+                    for s in 0..gamma {
+                        let (inputs, _) = &per_objective[s];
+                        let xs_model: Vec<Vec<f64>> = live
+                            .iter()
+                            .zip(&configs)
+                            .map(|(&i, config)| match &inputs.enrich {
+                                Some(e) => {
+                                    let mut v = us[i].clone();
+                                    v.extend(e.features(problem, task_idx, config));
+                                    v
+                                }
+                                None => us[i].clone(),
+                            })
+                            .collect();
+                        let preds = models[s].predict_batch(task_idx, &xs_model);
+                        for (&i, pred) in live.iter().zip(&preds) {
+                            out[i][s] = -expected_improvement(pred, y_best[s]);
                         }
-                        out
-                    };
+                    }
+                    out
+                };
 
-                    // Seed NSGA-II with the observed Pareto points.
-                    let observed: Vec<Vec<f64>> = evals
-                        .points
-                        .iter()
-                        .zip(&evals.outputs)
-                        .filter(|((t, _), _)| *t == task_idx)
-                        .map(|((_, c), _)| problem.tuning_space.normalize(c))
-                        .collect();
+                // Seed NSGA-II with the observed Pareto points.
+                let observed: Vec<Vec<f64>> = evals
+                    .points
+                    .iter()
+                    .filter(|(t, _)| *t == task_idx)
+                    .map(|(_, cfg)| problem.tuning_space.normalize(cfg))
+                    .collect();
 
-                    let front = nsga2::minimize_batch(
-                        &mut acq, beta, gamma, &observed, &opts.nsga, &mut trng,
-                    );
+                let front =
+                    nsga2::minimize_batch(&mut acq, beta, gamma, &observed, &opts.nsga, &mut trng);
 
-                    // Pick up to k distinct, feasible, non-duplicate
-                    // configurations from the front.
-                    let mut picked: Vec<(usize, Config)> = Vec::new();
-                    for sol in front {
-                        if picked.len() >= k {
-                            break;
-                        }
-                        let cfg = problem.tuning_space.denormalize(&sol.x);
-                        if problem.tuning_space.is_valid(&cfg)
-                            && !evals.contains(task_idx, &cfg)
-                            && !picked.iter().any(|(_, c)| c == &cfg)
+                // Pick up to k distinct, feasible, non-duplicate
+                // configurations from the front.
+                let mut picked: Vec<(usize, Config)> = Vec::new();
+                for sol in front {
+                    if picked.len() >= k {
+                        break;
+                    }
+                    let cfg = problem.tuning_space.denormalize(&sol.x);
+                    if problem.tuning_space.is_valid(&cfg)
+                        && !evals.contains(task_idx, &cfg)
+                        && !picked.iter().any(|(_, pc)| pc == &cfg)
+                    {
+                        picked.push((task_idx, cfg));
+                    }
+                }
+                // Top up with random feasible samples if the front was too
+                // small or collapsed onto known points.
+                while picked.len() < k {
+                    let fresh = sampling::sample_space(&problem.tuning_space, 1, &mut trng, 300);
+                    match fresh.into_iter().next() {
+                        Some(cfg)
+                            if !evals.contains(task_idx, &cfg)
+                                && !picked.iter().any(|(_, pc)| pc == &cfg) =>
                         {
                             picked.push((task_idx, cfg));
                         }
+                        Some(_) => continue,
+                        None => break,
                     }
-                    // Top up with random feasible samples if the front
-                    // was too small or collapsed onto known points.
-                    while picked.len() < k {
-                        let fresh =
-                            sampling::sample_space(&problem.tuning_space, 1, &mut trng, 300);
-                        match fresh.into_iter().next() {
-                            Some(c)
-                                if !evals.contains(task_idx, &c)
-                                    && !picked.iter().any(|(_, pc)| pc == &c) =>
-                            {
-                                picked.push((task_idx, c));
-                            }
-                            Some(_) => continue,
-                            None => break,
-                        }
-                    }
-                    picked
-                };
-                // Parallel over tasks once the training set reaches the
-                // size gate (every objective's model shares the sample set).
-                let per_task: Vec<Vec<(usize, Config)>> =
-                    if per_objective[0].0.xs.len() >= PARALLEL_MIN_N {
-                        par::with_width(opts.search_workers, || par::map_indexed(delta, search_one))
-                    } else {
-                        (0..delta).map(search_one).collect()
-                    };
-                per_task.into_iter().flatten().collect()
-            });
-
-        let offset = evals.points.len();
-        let (outputs, fails) = timer.time(Phase::Objective, || {
-            evaluate_batch(
-                problem,
-                new_points.clone(),
-                opts,
-                &timer,
-                offset,
-                &known_failed,
-            )
+                }
+                picked
+            };
+            // Every objective's model shares the sample set, so the first
+            // one's size gates the fan-out.
+            search_tasks(per_objective[0].0.xs.len(), delta, opts, search_one)
+                .into_iter()
+                .flatten()
+                .collect::<Vec<_>>()
         });
-        evals.points.extend(new_points);
-        evals.outputs.extend(outputs);
-        evals.failures.extend(fails);
-        iteration_stats.push(IterationStat {
-            iteration,
-            n_evals: evals.points.len() - n_preloaded,
-            modeling_wall,
-            search_wall,
-            incumbent: incumbent_of(&evals, n_preloaded),
-        });
-        drop(iter_span);
-        eps += k;
-        iteration += 1;
-        iters_this_process += 1;
 
-        if opts.checkpointing() && iteration.is_multiple_of(opts.checkpoint_every) {
-            // PANIC-SAFETY: checkpointing() implies db_path is set, and
-            // open_db opened a Db for every set db_path.
-            #[allow(clippy::expect_used)]
-            db_bridge::write_checkpoint(
-                db.as_ref().expect("checkpointing() implies db_path"),
-                CheckpointKind::MlaMo,
-                sig,
-                opts,
-                &evals,
-                iteration,
-                eps,
-                n_preloaded,
-                &timer.snapshot(),
-            );
-        }
+        c.evaluate(new_points);
+        c.end_iteration(iter_span, k, modeling_wall, search_wall);
     }
+    c.finish();
 
-    // --- Archive / checkpoint the outcome ---
-    if let Some(db) = &db {
-        if completed {
-            let prov = db_bridge::provenance(opts, delta);
-            // PANIC-SAFETY: losing the final archive write would silently
-            // discard the run's results; fail loudly instead.
-            #[allow(clippy::panic)]
-            db_bridge::archive_run(
-                db,
-                problem,
-                sig,
-                &evals,
-                n_preloaded,
-                &prov,
-                &timer.snapshot(),
-            )
-            .unwrap_or_else(|e| panic!("gptune-db: cannot archive run: {e}"));
-            if opts.checkpointing() {
-                let _ = db.clear_checkpoint(sig, opts.seed);
-            }
-        } else if opts.checkpointing() {
-            db_bridge::write_checkpoint(
-                db,
-                CheckpointKind::MlaMo,
-                sig,
-                opts,
-                &evals,
-                iteration,
-                eps,
-                n_preloaded,
-                &timer.snapshot(),
-            );
-        }
-    }
-
-    // --- Finalize: observed Pareto front per task (the first
-    // `n_preloaded` evaluations are archived warm-start records, excluded
-    // from the reported samples exactly as in `mla::finalize`) ---
+    // --- Finalize: observed Pareto front per task over this run's own
+    // evaluations (preloaded records are excluded exactly as in
+    // `mla::tune`) ---
     let per_task = (0..delta)
         .map(|task_idx| {
-            let samples: Vec<(Config, Vec<f64>)> = evals
-                .points
-                .iter()
-                .zip(&evals.outputs)
-                .skip(n_preloaded)
+            let samples: Vec<(Config, Vec<f64>)> = c
+                .fresh()
                 .filter(|((t, _), _)| *t == task_idx)
-                .map(|((_, c), o)| (c.clone(), o.clone()))
+                .map(|((_, cfg), o)| (cfg.clone(), o.clone()))
                 .collect();
             let finite: Vec<usize> = (0..samples.len())
                 .filter(|&i| samples[i].1.iter().all(|v| v.is_finite()))
@@ -441,9 +262,9 @@ pub fn tune_multiobjective(problem: &TuningProblem, opts: &MlaOptions) -> MoMlaR
 
     MoMlaResult {
         per_task,
-        stats: timer.snapshot(),
-        iterations: iteration_stats,
-        completed,
+        stats: c.timer.snapshot(),
+        iterations: c.stats,
+        completed: c.completed,
     }
 }
 

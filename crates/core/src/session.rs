@@ -14,7 +14,7 @@
 //! same report history, which is what lets a serve backend replay a
 //! journal and reconstruct identical session state.
 
-use crate::mla::{build_inputs, search_task, transform_objective, Evaluations, SurrogateInputs};
+use crate::mla::{build_inputs, search_task, Evaluations, SurrogateInputs};
 use crate::options::MlaOptions;
 use crate::problem::TuningProblem;
 use gptune_gp::{IncrementalLcm, LcmFitOptions, ModelState};
@@ -113,7 +113,7 @@ impl TunerSession {
         TunerSession {
             problem,
             opts,
-            evals: Evaluations::new(),
+            evals: Evaluations::default(),
             initial,
             surrogate,
             inputs: None,
@@ -257,12 +257,7 @@ impl TunerSession {
             if let (Some(model), Some(inputs)) = (self.surrogate.model(), self.inputs.as_ref()) {
                 let y_best_model = self
                     .evals
-                    .points
-                    .iter()
-                    .zip(&self.evals.outputs)
-                    .filter(|((t, _), o)| *t == task_idx && o[0].is_finite())
-                    .map(|(_, o)| transform_objective(o[0], self.opts.log_objective))
-                    .fold(f64::INFINITY, f64::min);
+                    .model_incumbent(task_idx, 0, self.opts.log_objective);
                 let cfg = search_task(
                     &self.problem,
                     model,

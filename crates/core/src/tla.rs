@@ -13,19 +13,15 @@
 //!   multitask surrogate transfers the sources' structure to the target
 //!   from the very first iteration.
 
-use crate::db_bridge;
 use crate::history::History;
-use crate::mla::{
-    build_inputs, evaluate_batch, known_to_fail, load_known_failures, search_task,
-    transform_objective, Evaluations, TaskResult,
-};
+use crate::mla::{build_inputs, known_to_fail, search_task, Campaign, TaskResult};
 use crate::options::MlaOptions;
 use crate::problem::TuningProblem;
 use gptune_db::CheckpointKind;
 use gptune_gp::{IncrementalLcm, LcmFitOptions};
 use gptune_la::par;
 use gptune_rng::{SeedableRng, StdRng};
-use gptune_runtime::{Phase, PhaseTimer};
+use gptune_runtime::Phase;
 use gptune_space::{sampling, Config};
 use std::path::Path;
 
@@ -115,12 +111,13 @@ pub fn transfer_tune_from_db(
 ///
 /// # Checkpoint/resume
 /// With [`MlaOptions::with_db`] and [`MlaOptions::checkpoint_every`] > 0
-/// the run follows the same checkpoint lifecycle as [`crate::mla::tune`]:
-/// the initial design checkpoints immediately, the in-flight state is
-/// persisted every `checkpoint_every` iterations (kind
-/// [`CheckpointKind::Tla`], keyed by `(signature, seed)`), a run preempted
+/// the run follows the same checkpoint lifecycle as [`crate::mla::tune`] —
+/// both run the crate's one campaign lifecycle. The initial design
+/// checkpoints immediately, the in-flight state is persisted every
+/// `checkpoint_every` iterations (kind [`CheckpointKind::Tla`], keyed by
+/// the run fingerprint, which includes the target task), a run preempted
 /// by [`MlaOptions::stop_after_iterations`] writes a final checkpoint, and
-/// a completed run archives its fresh evaluations and clears the
+/// a completed run archives its fresh evaluations and clears its
 /// checkpoint. All post-sampling randomness derives from
 /// `(seed, iteration)`, so a resumed run converges to the identical result
 /// an uninterrupted run would have produced.
@@ -132,52 +129,18 @@ pub fn transfer_tune(
 ) -> (TaskResult, gptune_runtime::PhaseStats) {
     assert_eq!(problem.n_objectives, 1, "TLA is single-objective");
     assert!(target_idx < problem.n_tasks());
-    let timer = PhaseTimer::new();
     let delta = problem.n_tasks();
-    let db = db_bridge::open_db(opts);
-    let sig = db_bridge::problem_signature(problem);
-    let known_failed = load_known_failures(&db, problem, sig, opts);
-
-    // --- Resume: adopt a checkpoint that matches this exact run ---
-    let mut evals = Evaluations::new();
-    let mut iteration = 0usize;
-    let mut n_preloaded = 0usize;
-    let mut resumed = false;
-    if opts.checkpointing() {
-        // PANIC-SAFETY: checkpointing() returns true only when db_path is
-        // set, and open_db opened a Db for every set db_path.
-        #[allow(clippy::expect_used)]
-        let db = db.as_ref().expect("checkpointing() implies db_path");
-        match db_bridge::load_checkpoint_traced(db, sig, opts.seed) {
-            Ok(Some(ckpt))
-                if db_bridge::checkpoint_matches(&ckpt, CheckpointKind::Tla, opts, delta) =>
-            {
-                evals = db_bridge::evals_from_checkpoint(&ckpt);
-                iteration = ckpt.iteration;
-                n_preloaded = ckpt.n_preloaded;
-                timer.restore(db_bridge::stats_from_db(&ckpt.stats));
-                resumed = true;
-            }
-            Ok(_) => {} // no checkpoint, or one from a different run shape
-            Err(e) => eprintln!("gptune-db: ignoring unreadable checkpoint: {e}"),
-        }
-    }
-
-    if !resumed {
+    let mut c = Campaign::start(problem, opts, CheckpointKind::Tla, Some(target_idx));
+    if !c.resumed {
         // Preload archived records whose task exactly matches a problem
-        // task. These are free observations for the surrogate; they are
-        // stored ahead of the fresh samples and excluded from the budget.
-        for record in &history.records {
-            if let Some(idx) = problem.tasks.iter().position(|t| t == &record.task) {
-                if problem.tuning_space.is_valid(&record.config)
-                    && !evals.contains(idx, &record.config)
-                {
-                    evals.points.push((idx, record.config.clone()));
-                    evals.outputs.push(record.outputs.clone());
-                }
-            }
-        }
-        n_preloaded = evals.points.len();
+        // task: free observations for the surrogate.
+        c.preload(history.records.iter().filter_map(|record| {
+            let idx = problem.tasks.iter().position(|t| t == &record.task)?;
+            problem
+                .tuning_space
+                .is_valid(&record.config)
+                .then(|| (idx, record.config.clone(), record.outputs.clone()))
+        }));
 
         // Initial fresh samples on the target: the TLA-1 prediction first,
         // then an LHS design.
@@ -185,74 +148,34 @@ pub fn transfer_tune(
         let n_init = opts.initial_samples().min(opts.eps_total);
         let mut batch: Vec<(usize, Config)> = Vec::new();
         if let Some(cfg) = predict_transfer_config(problem, history, target_idx) {
-            if !evals.contains(target_idx, &cfg) {
+            if !c.evals.contains(target_idx, &cfg) {
                 batch.push((target_idx, cfg));
             }
         }
         let design =
-            sampling::sample_space_where(&problem.tuning_space, n_init, &mut rng, 200, |c| {
-                !known_to_fail(&known_failed, target_idx, c)
+            sampling::sample_space_where(&problem.tuning_space, n_init, &mut rng, 200, |cfg| {
+                !known_to_fail(&c.known_failed, target_idx, cfg)
             });
         for cfg in design {
             if batch.len() >= n_init {
                 break;
             }
-            if !evals.contains(target_idx, &cfg) && !batch.iter().any(|(_, c)| c == &cfg) {
+            if !c.evals.contains(target_idx, &cfg) && !batch.iter().any(|(_, b)| b == &cfg) {
                 batch.push((target_idx, cfg));
             }
         }
-        let offset = evals.points.len();
-        let (outputs, fails) = timer.time(Phase::Objective, || {
-            evaluate_batch(problem, batch.clone(), opts, &timer, offset, &known_failed)
-        });
-        evals.points.extend(batch);
-        evals.outputs.extend(outputs);
-        evals.failures.extend(fails);
-
-        // Checkpoint the (expensive) initial design immediately: a run
-        // killed in its first iteration resumes without re-evaluating.
-        if opts.checkpointing() {
-            // PANIC-SAFETY: checkpointing() implies db_path is set, and
-            // open_db opened a Db for every set db_path.
-            #[allow(clippy::expect_used)]
-            db_bridge::write_checkpoint(
-                db.as_ref().expect("checkpointing() implies db_path"),
-                CheckpointKind::Tla,
-                sig,
-                opts,
-                &evals,
-                iteration,
-                evals.points.len() - n_preloaded,
-                n_preloaded,
-                &timer.snapshot(),
-            );
-        }
+        c.evaluate(batch);
+        // ε counts the target's fresh evaluations.
+        c.end_sampling(c.n_fresh());
     }
 
-    // Fresh evaluations (this run's work) reconstructed from the archive
-    // — identical whether the archive was just built or resumed.
-    let mut fresh: Vec<(Config, f64)> = evals
-        .points
-        .iter()
-        .zip(&evals.outputs)
-        .skip(n_preloaded)
-        .map(|((_, c), o)| (c.clone(), o.first().copied().unwrap_or(f64::INFINITY)))
-        .collect();
-
     // MLA iterations on the target only.
-    let mut iters_this_process = 0usize;
-    let mut completed = true;
     // Persistent surrogate; see [`MlaOptions::refit`].
     let mut surrogate = IncrementalLcm::new(opts.refit);
-    while fresh.len() < opts.eps_total {
-        if opts
-            .stop_after_iterations
-            .is_some_and(|n| iters_this_process >= n)
-        {
-            completed = false;
-            break;
-        }
-        let iter_span = timer
+    while c.next_iteration() {
+        let iteration = c.iteration;
+        let iter_span = c
+            .timer
             .tracer()
             .span("gptune.core.tla.iteration")
             .with("iteration", iteration as u64)
@@ -265,12 +188,12 @@ pub fn transfer_tune(
                 .wrapping_mul(iteration as u64 + 1)
                 .wrapping_add(target_idx as u64 * 104_729),
         );
-        let (inputs, y) = build_inputs(problem, &evals, 0, opts);
+        let (inputs, y) = build_inputs(problem, &c.evals, 0, opts);
         let lcm_opts = LcmFitOptions {
             seed: opts.lcm.seed.wrapping_add(iteration as u64 * 104_729),
             ..opts.lcm.clone()
         };
-        timer.time_iter(Phase::Modeling, iteration as u64, || {
+        let (_, modeling_wall) = c.timer.time_iter(Phase::Modeling, iteration as u64, || {
             par::with_width(opts.model_workers, || {
                 surrogate.update(&inputs.xs, &inputs.task_of, &y, delta, &lcm_opts)
             })
@@ -279,114 +202,39 @@ pub fn transfer_tune(
         #[allow(clippy::expect_used)]
         let model = surrogate.model().expect("surrogate updated this iteration");
 
-        let y_best_model = evals
-            .points
-            .iter()
-            .zip(&evals.outputs)
-            .filter(|((t, _), o)| *t == target_idx && o[0].is_finite())
-            .map(|(_, o)| transform_objective(o[0], opts.log_objective))
-            .fold(f64::INFINITY, f64::min);
-
-        let cfg = timer
-            .time_iter(Phase::Search, iteration as u64, || {
-                search_task(
-                    problem,
-                    model,
-                    &inputs,
-                    &evals,
-                    target_idx,
-                    y_best_model,
-                    opts,
-                    &known_failed,
-                    &mut rng,
-                )
-            })
-            .0;
-        let offset = evals.points.len();
-        let (out, fails) = timer.time(Phase::Objective, || {
-            evaluate_batch(
+        let y_best_model = c.evals.model_incumbent(target_idx, 0, opts.log_objective);
+        let (cfg, search_wall) = c.timer.time_iter(Phase::Search, iteration as u64, || {
+            search_task(
                 problem,
-                vec![(target_idx, cfg.clone())],
+                model,
+                &inputs,
+                &c.evals,
+                target_idx,
+                y_best_model,
                 opts,
-                &timer,
-                offset,
-                &known_failed,
+                &c.known_failed,
+                &mut rng,
             )
         });
-        // evaluate_batch returns one output row per submitted point; a
-        // missing or empty row is treated as a failed measurement.
-        let row = out.into_iter().next().unwrap_or_default();
-        fresh.push((cfg.clone(), row.first().copied().unwrap_or(f64::INFINITY)));
-        evals.points.push((target_idx, cfg));
-        evals.outputs.push(row);
-        evals.failures.extend(fails);
-        drop(iter_span);
-        iteration += 1;
-        iters_this_process += 1;
-
-        if opts.checkpointing() && iteration.is_multiple_of(opts.checkpoint_every) {
-            // PANIC-SAFETY: checkpointing() implies db_path is set, and
-            // open_db opened a Db for every set db_path.
-            #[allow(clippy::expect_used)]
-            db_bridge::write_checkpoint(
-                db.as_ref().expect("checkpointing() implies db_path"),
-                CheckpointKind::Tla,
-                sig,
-                opts,
-                &evals,
-                iteration,
-                fresh.len(),
-                n_preloaded,
-                &timer.snapshot(),
-            );
-        }
+        c.evaluate(vec![(target_idx, cfg)]);
+        c.end_iteration(iter_span, 1, modeling_wall, search_wall);
     }
+    c.finish();
 
-    // --- Archive / checkpoint the outcome ---
-    if let Some(db) = &db {
-        if completed {
-            let prov = db_bridge::provenance(opts, delta);
-            // PANIC-SAFETY: losing the final archive write would silently
-            // discard the run's results; fail loudly instead.
-            #[allow(clippy::panic)]
-            db_bridge::archive_run(
-                db,
-                problem,
-                sig,
-                &evals,
-                n_preloaded,
-                &prov,
-                &timer.snapshot(),
-            )
-            .unwrap_or_else(|e| panic!("gptune-db: cannot archive run: {e}"));
-            if opts.checkpointing() {
-                let _ = db.clear_checkpoint(sig, opts.seed);
-            }
-        } else if opts.checkpointing() {
-            // Preempted: persist the final in-flight state for the resumer.
-            db_bridge::write_checkpoint(
-                db,
-                CheckpointKind::Tla,
-                sig,
-                opts,
-                &evals,
-                iteration,
-                fresh.len(),
-                n_preloaded,
-                &timer.snapshot(),
-            );
-        }
-    }
-
-    let (best_config, best_value) = fresh
+    // This run's fresh evaluations, all on the target.
+    let samples: Vec<(Config, f64)> = c
+        .fresh()
+        .map(|((_, cfg), o)| (cfg.clone(), o.first().copied().unwrap_or(f64::INFINITY)))
+        .collect();
+    let (best_config, best_value) = samples
         .iter()
         .filter(|(_, y)| y.is_finite())
         .min_by(|a, b| a.1.total_cmp(&b.1))
-        .map(|(c, y)| (c.clone(), *y))
+        .map(|(cfg, y)| (cfg.clone(), *y))
         .unwrap_or_else(|| {
-            fresh
+            samples
                 .first()
-                .map(|(c, _)| (c.clone(), f64::INFINITY))
+                .map(|(cfg, _)| (cfg.clone(), f64::INFINITY))
                 .unwrap_or_else(|| {
                     let mid = vec![0.5; problem.beta()];
                     (problem.tuning_space.denormalize(&mid), f64::INFINITY)
@@ -398,9 +246,9 @@ pub fn transfer_tune(
             task: problem.tasks[target_idx].clone(),
             best_config,
             best_value,
-            samples: fresh,
+            samples,
         },
-        timer.snapshot(),
+        c.timer.snapshot(),
     )
 }
 
@@ -552,9 +400,15 @@ mod tests {
         assert_eq!(r.samples.len(), o.initial_samples().min(6));
         let db = gptune_db::Db::open(&root).unwrap();
         let sig = crate::db_bridge::problem_signature(&p);
-        let ckpt = db.load_checkpoint(sig, o.seed).unwrap().unwrap();
-        assert_eq!(ckpt.kind, gptune_db::CheckpointKind::Tla);
+        let run = crate::db_bridge::run_fingerprint(CheckpointKind::Tla, &o, &p, Some(1));
+        let ckpt = db.load_checkpoint(sig, run).unwrap().unwrap();
+        assert_eq!(ckpt.kind, CheckpointKind::Tla);
         assert_eq!(ckpt.n_preloaded, h.len());
+        // Resumed to completion, the run clears its own checkpoint.
+        o.stop_after_iterations = None;
+        let (done, _) = transfer_tune(&p, &h, 1, &o);
+        assert_eq!(done.samples.len(), 6);
+        assert!(db.load_checkpoint(sig, run).unwrap().is_none());
         let _ = std::fs::remove_dir_all(&root);
     }
 

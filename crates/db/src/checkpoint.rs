@@ -30,7 +30,8 @@ pub enum CheckpointKind {
 }
 
 impl CheckpointKind {
-    fn as_str(&self) -> &'static str {
+    /// Stable name of the kind, as stored in the checkpoint file.
+    pub fn as_str(&self) -> &'static str {
         match self {
             CheckpointKind::Mla => "mla",
             CheckpointKind::MlaMo => "mla_mo",
@@ -55,7 +56,11 @@ pub struct Checkpoint {
     pub kind: CheckpointKind,
     /// Problem signature the state belongs to.
     pub sig: u64,
-    /// Base RNG seed of the run (resume requires an exact match).
+    /// Fingerprint of the run that wrote the state (its loop kind, seed,
+    /// budget, task list and transfer target). It keys the file, so only
+    /// that run adopts, overwrites or clears it.
+    pub run: u64,
+    /// Base RNG seed of the run.
     pub seed: u64,
     /// Total evaluation budget `ε_tot` of the run.
     pub eps_total: usize,
@@ -111,6 +116,7 @@ impl Checkpoint {
             ("v".into(), Json::Int(crate::record::FORMAT_VERSION)),
             ("kind".into(), Json::Str(self.kind.as_str().into())),
             ("sig".into(), Json::Str(format!("{:016x}", self.sig))),
+            ("run".into(), Json::Str(format!("{:016x}", self.run))),
             ("seed".into(), Json::from_u64(self.seed)),
             ("eps_total".into(), Json::Int(self.eps_total as i64)),
             ("iteration".into(), Json::Int(self.iteration as i64)),
@@ -147,11 +153,14 @@ impl Checkpoint {
             .and_then(Json::as_str)
             .and_then(CheckpointKind::parse)
             .ok_or("bad 'kind'")?;
-        let sig = j
-            .get("sig")
-            .and_then(Json::as_str)
-            .and_then(|s| u64::from_str_radix(s, 16).ok())
-            .ok_or("bad 'sig'")?;
+        let hex_field = |k: &str| -> Result<u64, String> {
+            j.get(k)
+                .and_then(Json::as_str)
+                .and_then(|s| u64::from_str_radix(s, 16).ok())
+                .ok_or_else(|| format!("bad '{k}'"))
+        };
+        let sig = hex_field("sig")?;
+        let run = hex_field("run")?;
         let seed = j.get("seed").and_then(Json::as_u64).ok_or("bad 'seed'")?;
         let usize_field = |k: &str| -> Result<usize, String> {
             j.get(k)
@@ -219,6 +228,7 @@ impl Checkpoint {
         Ok(Checkpoint {
             kind,
             sig,
+            run,
             seed,
             eps_total,
             iteration,
@@ -286,6 +296,7 @@ mod tests {
         Checkpoint {
             kind: CheckpointKind::Mla,
             sig: 0x1234_5678_9abc_def0,
+            run: 0x0fed_cba9_8765_4321,
             seed: 3,
             eps_total: 20,
             iteration: 4,
@@ -321,6 +332,7 @@ mod tests {
         let back = Checkpoint::from_json_str(&c.to_json_string()).unwrap();
         assert_eq!(back.kind, c.kind);
         assert_eq!(back.sig, c.sig);
+        assert_eq!(back.run, c.run);
         assert_eq!(back.points, c.points);
         assert_eq!(back.outputs[0], c.outputs[0]);
         assert_eq!(back.outputs[1], c.outputs[1]);

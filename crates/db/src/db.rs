@@ -7,8 +7,8 @@
 //! <root>/
 //!   <problem>-<sig:016x>.jsonl        one journal per problem signature
 //!   <problem>-<sig:016x>.jsonl.lock   advisory lockfile (transient)
-//!   ckpt-<sig:016x>-<seed>.json       in-flight checkpoint (removed on
-//!                                     completion)
+//!   ckpt-<sig:016x>-<run:016x>.json   in-flight checkpoint of one run
+//!                                     (removed on completion)
 //! ```
 //!
 //! Journal names embed the problem *signature* (a stable hash of the
@@ -69,9 +69,9 @@ impl Db {
             .join(format!("{}-{sig:016x}.jsonl", sanitize(problem)))
     }
 
-    /// Checkpoint path for a (signature, seed) pair.
-    pub fn checkpoint_path(&self, sig: u64, seed: u64) -> PathBuf {
-        self.root.join(format!("ckpt-{sig:016x}-{seed}.json"))
+    /// Checkpoint path for a (signature, run fingerprint) pair.
+    pub fn checkpoint_path(&self, sig: u64, run: u64) -> PathBuf {
+        self.root.join(format!("ckpt-{sig:016x}-{run:016x}.json"))
     }
 
     /// Appends entries to the appropriate journal (all entries must share
@@ -209,19 +209,19 @@ impl Db {
         Ok(out)
     }
 
-    /// Saves an MLA checkpoint for `(sig, seed)`.
+    /// Saves a checkpoint under its `(sig, run)` key.
     pub fn save_checkpoint(&self, ckpt: &Checkpoint) -> io::Result<()> {
-        ckpt.save(&self.checkpoint_path(ckpt.sig, ckpt.seed))
+        ckpt.save(&self.checkpoint_path(ckpt.sig, ckpt.run))
     }
 
-    /// Loads the checkpoint for `(sig, seed)` when present.
-    pub fn load_checkpoint(&self, sig: u64, seed: u64) -> io::Result<Option<Checkpoint>> {
-        Checkpoint::load(&self.checkpoint_path(sig, seed))
+    /// Loads the checkpoint for `(sig, run)` when present.
+    pub fn load_checkpoint(&self, sig: u64, run: u64) -> io::Result<Option<Checkpoint>> {
+        Checkpoint::load(&self.checkpoint_path(sig, run))
     }
 
-    /// Removes the checkpoint for `(sig, seed)` (idempotent).
-    pub fn clear_checkpoint(&self, sig: u64, seed: u64) -> io::Result<()> {
-        Checkpoint::remove(&self.checkpoint_path(sig, seed))
+    /// Removes the checkpoint for `(sig, run)` (idempotent).
+    pub fn clear_checkpoint(&self, sig: u64, run: u64) -> io::Result<()> {
+        Checkpoint::remove(&self.checkpoint_path(sig, run))
     }
 }
 
@@ -385,10 +385,11 @@ mod tests {
         use crate::record::RunStats;
         let root = tmp_root("ckpt");
         let db = Db::open(&root).unwrap();
-        assert_eq!(db.load_checkpoint(9, 3).unwrap(), None);
+        assert_eq!(db.load_checkpoint(9, 0xab).unwrap(), None);
         let c = Checkpoint {
             kind: CheckpointKind::Mla,
             sig: 9,
+            run: 0xab,
             seed: 3,
             eps_total: 10,
             iteration: 2,
@@ -400,10 +401,16 @@ mod tests {
             stats: RunStats::default(),
         };
         db.save_checkpoint(&c).unwrap();
-        assert_eq!(db.load_checkpoint(9, 3).unwrap(), Some(c));
-        assert_eq!(db.load_checkpoint(9, 4).unwrap(), None, "seed-scoped");
-        db.clear_checkpoint(9, 3).unwrap();
-        assert_eq!(db.load_checkpoint(9, 3).unwrap(), None);
+        assert_eq!(db.load_checkpoint(9, 0xab).unwrap(), Some(c));
+        assert_eq!(db.load_checkpoint(9, 0xac).unwrap(), None, "run-scoped");
+        assert_eq!(db.load_checkpoint(9, 3).unwrap(), None, "not keyed by seed");
+        db.clear_checkpoint(9, 0xac).unwrap();
+        assert!(
+            db.load_checkpoint(9, 0xab).unwrap().is_some(),
+            "other run kept"
+        );
+        db.clear_checkpoint(9, 0xab).unwrap();
+        assert_eq!(db.load_checkpoint(9, 0xab).unwrap(), None);
         let _ = fs::remove_dir_all(&root);
     }
 }

@@ -103,7 +103,8 @@ pub struct ServeClient {
     opened: Option<(String, ProblemSpec, SessionOptions, String)>,
     /// Tracer for client-side spans; `None` reads the process global.
     tracer: Option<gptune_trace::Tracer>,
-    /// Request ids are `splitmix64(rid_seed, counter)` — deterministic (GX401).
+    /// Request ids are `splitmix64(rid_seed, counter)` — deterministic: no
+    /// clock, no entropy.
     rid_seed: u64,
     rid_counter: u64,
 }
@@ -687,7 +688,7 @@ mod tests {
         let server = serve("127.0.0.1:0", ServeOptions::default()).unwrap();
 
         // Two clients with the same rid seed and the same call sequence
-        // mint identical id streams (GX401: no clock, no entropy).
+        // mint identical id streams (no clock, no entropy).
         let rid_stream = |tag: u64| -> Vec<String> {
             let tracer = Tracer::ring(256);
             let mut c = ServeClient::connect(server.local_addr())

@@ -11,7 +11,7 @@
 //!   path stay `unwrap`/`panic!`-free outside explicitly justified escapes.
 //! * **Lock discipline** (GX301): no lock guard held across a channel op
 //!   or join — the master/worker executor's one deadlock shape.
-//! * **Determinism** (GX401–GX403): checkpoint/resume replays to identical
+//! * **Determinism** (GX402–GX403): checkpoint/resume replays to identical
 //!   results only if every random draw is seed-threaded through
 //!   `MlaOptions` and no recorded output depends on hash-map order.
 //! * **Unsafe hygiene** (GX501): every `unsafe` carries a `// SAFETY:`.

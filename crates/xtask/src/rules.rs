@@ -7,7 +7,7 @@
 //! | 1    | GX101–GX103 | NaN-safety: no IEEE `==`/`!=`, no `partial_cmp` escapes into ordering |
 //! | 2    | GX201–GX204, GX290 | panic-freedom in the runtime / db / core evaluation path |
 //! | 3    | GX301–GX303 | lock & socket discipline: no guard held across channel ops or joins; no blocking I/O under the serve session-table lock; every serve-side socket deadline-armed |
-//! | 4    | GX401–GX403 | determinism: every random draw and iteration order is seed-threaded |
+//! | 4    | GX402–GX403 | determinism: every random draw and iteration order is seed-threaded |
 //! | 5    | GX501 | unsafe hygiene: every `unsafe` carries a `// SAFETY:` justification |
 //! | 6    | GX601–GX602 | observability: no raw `Instant::now()` in the traced crates; every span/metric name a literal in the `gptune.<crate>.<name>` taxonomy |
 //! | 7    | GX701–GX704 | workspace concurrency: lock-order inversions, guards across blocking calls (interprocedural), double-acquires, relaxed-atomic handshakes — implemented in [`crate::concurrency`] |
@@ -104,11 +104,6 @@ pub const RULES: &[RuleInfo] = &[
         id: "GX303",
         name: "serve-socket-deadline",
         desc: "crates/serve: every socket from accept()/connect() must reach a deadline-arming call (set_read_timeout/set_write_timeout/arm_deadlines, possibly via a helper) before any other may-blocking operation",
-    },
-    RuleInfo {
-        id: "GX401",
-        name: "ambient-rng",
-        desc: "no thread_rng/from_entropy/OsRng; every RNG must be seeded through MlaOptions",
     },
     RuleInfo {
         id: "GX402",
@@ -741,24 +736,11 @@ fn serve_lock_io(ctx: &FileCtx<'_>, emit: &mut Emit<'_>, out: &mut Vec<Diagnosti
 
 // ---------------------------------------------------------------- tier 4
 
-/// GX401/GX402/GX403: nondeterminism sources.
+/// GX402/GX403: nondeterminism sources. (Ambient entropy needs no rule:
+/// the workspace is std-only — GX801 — and `gptune-rng` has no entropy
+/// constructor.)
 fn determinism(ctx: &FileCtx<'_>, emit: &mut Emit<'_>, out: &mut Vec<Diagnostic>) {
     let t = ctx.tokens;
-
-    // GX401: ambient entropy, flagged even in tests — a test that draws
-    // from the OS is a flaky test.
-    for tok in t {
-        if let Some(s) = tok.ident() {
-            if matches!(s, "thread_rng" | "from_entropy" | "OsRng" | "ThreadRng") {
-                emit(
-                    tok.line,
-                    "GX401",
-                    format!("`{s}` draws ambient entropy; thread an explicit seed (MlaOptions.seed) instead"),
-                    out,
-                );
-            }
-        }
-    }
 
     // GX402: time-derived seeds — `seed_from_u64(..now()..)` shapes and
     // `let seed = ..Instant/SystemTime..` bindings.
@@ -1224,14 +1206,7 @@ mod tests {
     }
 
     #[test]
-    fn gx401_gx402_entropy_and_time_seeds() {
-        assert_eq!(
-            rules_hit(
-                "crates/opt/src/x.rs",
-                "fn f() { let mut rng = rand::thread_rng(); }"
-            ),
-            vec!["GX401"]
-        );
+    fn gx402_time_seeds() {
         assert_eq!(
             rules_hit(
                 "crates/opt/src/x.rs",

@@ -1,12 +1,7 @@
-//! Fixture: the GX4xx determinism tier — ambient RNGs, time-derived
-//! seeds, and hash-ordered iteration feeding recorded output.
+//! Fixture: the GX4xx determinism tier — time-derived seeds and
+//! hash-ordered iteration feeding recorded output.
 
 use std::collections::HashMap;
-
-pub fn gx401() -> f64 {
-    let mut rng = rand::thread_rng(); // GX401
-    rng.gen_range(0.0..1.0)
-}
 
 pub fn gx402() -> u64 {
     let seed = std::time::SystemTime::now() // GX402

@@ -76,9 +76,9 @@ fn gx301_flags_guard_held_across_send() {
 }
 
 #[test]
-fn gx4xx_flags_entropy_time_seeds_and_hash_iteration() {
+fn gx4xx_flags_time_seeds_and_hash_iteration() {
     let rules = rules_at("gx4xx_determinism.rs", "crates/core/src/sampler.rs");
-    assert_eq!(rules, vec!["GX401", "GX402", "GX403"]);
+    assert_eq!(rules, vec!["GX402", "GX403"]);
 }
 
 #[test]
@@ -236,13 +236,13 @@ fn fixtures_dir_itself_is_test_code() {
         rules.is_empty(),
         "fixtures must lint clean in place: {rules:?}"
     );
-    // ...but GX401/GX402 (ambient entropy, time-derived seeds) fire even
-    // in test code: a test drawing from the OS or the clock is flaky.
+    // ...but GX402 (time-derived seeds) fires even in test code: a test
+    // seeded from the clock is flaky.
     let rules = rules_at(
         "gx4xx_determinism.rs",
         "crates/xtask/tests/fixtures/gx4xx_determinism.rs",
     );
-    assert_eq!(rules, vec!["GX401", "GX402"]);
+    assert_eq!(rules, vec!["GX402"]);
 }
 
 #[test]

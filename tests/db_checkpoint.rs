@@ -1,12 +1,13 @@
 //! Integration tests for the shared history database (`gptune-db`):
-//! kill-and-resume determinism, concurrent writers, warm starts, TLA from
-//! the archive, and torn-journal recovery — the production properties the
-//! GPTune workflow needs from its archive.
+//! kill-and-resume determinism, checkpoints owned by the run that wrote
+//! them, concurrent writers, warm starts, TLA from the archive, and
+//! torn-journal recovery — the production properties the GPTune workflow
+//! needs from its archive.
 
-use gptune::core::{mla, mla_mo, runlog, MlaOptions, TuningProblem};
+use gptune::core::{mla, mla_mo, runlog, transfer_tune, History, MlaOptions, TuningProblem};
 use gptune::db::{Db, DbEntry, DbRecord, DbValue, Provenance, Query};
 use gptune::space::{Config, Param, Space, Value};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn tmp_root(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("gptune_it_db_{tag}_{}", std::process::id()));
@@ -178,38 +179,155 @@ fn concurrent_writers_lose_no_records() {
 
 /// Warm starts preload archived evaluations as free observations: the new
 /// run still performs its full own budget, and its reported samples are
-/// its own evaluations only.
+/// its own evaluations only. Algorithms 1 and 2 run the same preload.
 #[test]
 fn warm_start_preloads_archive_without_counting_budget() {
-    let root = tmp_root("warm");
-    let p = toy_problem(1);
     let budget = 6;
+    // (samples of task 0, evaluations charged, completed) of one run.
+    let run = |p: &TuningProblem, o: &MlaOptions| match p.n_objectives {
+        1 => {
+            let r = mla::tune(p, o);
+            (r.per_task[0].samples.len(), r.stats.n_evals, r.completed)
+        }
+        _ => {
+            let r = mla_mo::tune_multiobjective(p, o);
+            (r.per_task[0].samples.len(), r.stats.n_evals, r.completed)
+        }
+    };
+    for (tag, p) in [("warm", toy_problem(1)), ("warm_mo", toy_mo_problem())] {
+        let root = tmp_root(tag);
+        let mut o1 = fast_opts(budget).with_db(&root);
+        // MLA-MO: 3 initial samples + one iteration of k = 3 (MLA ignores k).
+        o1.k_per_iter = 3;
+        // First run populates the archive.
+        assert!(run(&p, &o1).2);
 
-    // First run populates the archive.
-    let o1 = fast_opts(budget).with_db(&root);
-    let r1 = mla::tune(&p, &o1);
-    assert!(r1.completed);
+        // Second run, different seed, warm-started from the archive.
+        let mut o2 = o1.clone().with_seed(99);
+        o2.warm_start_from_db = true;
+        let (n_samples, n_evals, completed) = run(&p, &o2);
+        assert!(completed);
+        assert_eq!(
+            n_samples, budget,
+            "{tag}: archived records must not count against the budget or leak into samples"
+        );
+        assert_eq!(n_evals, budget, "{tag}: preloaded evals cost nothing");
 
-    // Second run, different seed, warm-started from the archive.
-    let mut o2 = fast_opts(budget).with_db(&root).with_seed(99);
-    o2.warm_start_from_db = true;
-    let r2 = mla::tune(&p, &o2);
-    assert!(r2.completed);
+        // Both runs' fresh evals are archived.
+        let db = Db::open(&root).unwrap();
+        let sig = gptune::core::problem_signature(&p);
+        assert_eq!(
+            db.query(&p.name, sig, &Query::default()).unwrap().len(),
+            2 * budget,
+            "{tag}"
+        );
+        assert_eq!(db.run_summaries(&p.name, sig).unwrap().len(), 2, "{tag}");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+}
+
+/// The in-flight checkpoint files of an archive, sorted.
+fn checkpoint_files(root: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(root)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|n| n.starts_with("ckpt-"))
+        .collect();
+    names.sort();
+    names
+}
+
+/// A checkpoint belongs to the run that wrote it. An MLA run over another
+/// task set of the same problem, with the same seed and budget, must run
+/// as if the archive held no checkpoint — not adopt the other run's.
+#[test]
+fn checkpoint_of_another_task_set_is_not_adopted() {
+    let root = tmp_root("other_tasks");
+    let mut o = fast_opts(10).with_db(&root).checkpoint_every(1);
+    o.stop_after_iterations = Some(2);
+    assert!(!mla::tune(&toy_problem(2), &o).completed);
+    let preempted = checkpoint_files(&root);
+    assert_eq!(preempted.len(), 1);
+
+    let mut other = toy_problem(2);
+    other.tasks = vec![vec![Value::Real(8.0)], vec![Value::Real(9.0)]];
+    let clean = mla::tune(&other, &fast_opts(10));
+    o.stop_after_iterations = None;
+    let r = mla::tune(&other, &o);
+    assert!(r.completed);
+    for (a, b) in r.per_task.iter().zip(&clean.per_task) {
+        assert_eq!(
+            a.samples, b.samples,
+            "adopted another task set's checkpoint"
+        );
+    }
     assert_eq!(
-        r2.per_task[0].samples.len(),
-        budget,
-        "archived records must not count against the budget or leak into samples"
+        checkpoint_files(&root),
+        preempted,
+        "the preempted run's stays"
     );
-    assert_eq!(r2.stats.n_evals, budget, "preloaded evals cost nothing");
+    let _ = std::fs::remove_dir_all(&root);
+}
 
-    // Both runs' fresh evals are archived.
-    let db = Db::open(&root).unwrap();
-    let sig = gptune::core::problem_signature(&p);
+/// Same for transfer tuning: a TLA run for one target must not adopt the
+/// checkpoint of a preempted run for another target.
+#[test]
+fn tla_checkpoint_of_another_target_is_not_adopted() {
+    let root = tmp_root("other_target");
+    let p = toy_problem(3);
+    let h = History::new(&p.name);
+    let mut o = fast_opts(6).with_db(&root).checkpoint_every(1);
+    o.stop_after_iterations = Some(1);
+    let (partial, _) = transfer_tune(&p, &h, 1, &o);
+    assert!(partial.samples.len() < 6);
+
+    let (clean, _) = transfer_tune(&p, &h, 2, &fast_opts(6));
+    o.stop_after_iterations = None;
+    let (r, _) = transfer_tune(&p, &h, 2, &o);
     assert_eq!(
-        db.query(&p.name, sig, &Query::default()).unwrap().len(),
-        2 * budget
+        r.samples, clean.samples,
+        "adopted another target's checkpoint"
     );
-    assert_eq!(db.run_summaries(&p.name, sig).unwrap().len(), 2);
+    assert_eq!(checkpoint_files(&root).len(), 1, "target 1's stays");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A completed run clears only its own checkpoint: transfer tuning on the
+/// archive of a preempted MLA run (same problem, same seed) leaves the MLA
+/// checkpoint in place, and the MLA run then resumes from it.
+#[test]
+fn completed_run_keeps_other_runs_checkpoints() {
+    let root = tmp_root("clobber");
+    let p = toy_problem(2);
+    let mut o = fast_opts(10).with_db(&root).checkpoint_every(1);
+    o.stop_after_iterations = Some(2);
+    assert!(!mla::tune(&p, &o).completed);
+    let preempted = checkpoint_files(&root);
+    assert_eq!(preempted.len(), 1);
+
+    let tla_opts = fast_opts(4).with_db(&root).checkpoint_every(1);
+    let (tr, _) = transfer_tune(&p, &History::new(&p.name), 1, &tla_opts);
+    assert_eq!(tr.samples.len(), 4);
+    assert_eq!(
+        checkpoint_files(&root),
+        preempted,
+        "TLA cleared the MLA checkpoint"
+    );
+
+    o.stop_after_iterations = None;
+    let resumed = mla::tune(&p, &o);
+    assert_eq!(
+        resumed.iterations[0].iteration, 2,
+        "MLA restarted instead of resuming"
+    );
+    let full = mla::tune(&p, &fast_opts(10));
+    for (a, b) in resumed.per_task.iter().zip(&full.per_task) {
+        assert_eq!(a.samples, b.samples);
+    }
+    assert!(
+        checkpoint_files(&root).is_empty(),
+        "completion clears its own"
+    );
     let _ = std::fs::remove_dir_all(&root);
 }
 

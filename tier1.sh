@@ -7,16 +7,15 @@ cd "$(dirname "$0")"
 
 cargo build --offline --locked --release --workspace
 # The root package is not a virtual workspace and has no default-members,
-# so without --workspace only its own tests would run.
+# so without --workspace only its own tests would run. This one run also
+# holds two gates of the root package:
+# - Chaos gate (tests/chaos.rs): MLA under injected crashes/hangs/transients
+#   must complete, resume deterministically, and skip journaled crashers.
+# - Protocol chaos gate (tests/serve_chaos.rs): a real client through the
+#   deterministic fault proxy (resets, torn/oversized frames, duplicates,
+#   delays) plus the server kill-restart and eviction drills must lose zero
+#   reports and leave a bit-identical history.
 cargo test --offline --locked -q --workspace
-# Chaos gate: MLA under injected crashes/hangs/transients must complete,
-# resume deterministically, and skip journaled crashers.
-cargo test --offline --locked -q --test chaos
-# Protocol chaos gate: a real client through the deterministic fault proxy
-# (resets, torn/oversized frames, duplicates, delays) plus the server
-# kill-restart and eviction drills must lose zero reports and leave a
-# bit-identical history -- see tests/serve_chaos.rs.
-cargo test --offline --locked -q --test serve_chaos
 # Hot-path equivalence smoke in release mode: the distance-cached NLL,
 # W ∘ K gradients, and batched prediction must match their retained
 # pre-refactor references to ≤ 1e-12 under the optimizer's reassociations.
