@@ -11,13 +11,20 @@
 //! * substrate kernels behind Fig. 3's phase times: [`Cholesky::factor`]
 //!   at n ∈ {128, 512, 1024}; a 5-task, 1-D LCM likelihood and
 //!   single-start fit at n ∈ {100, 200}; one EI evaluation; and a 2-D PSO
-//!   search (30 particles × 30 iterations).
+//!   search (30 particles × 30 iterations);
+//! * the modeling phase's fan-out at small n: a 4-restart fit (2 tasks,
+//!   dim 3, Q = 2) at width 1 against the machine's width, n ∈ {4, 8, 16,
+//!   32, 48}, 5 ms idle before each fit so every region pays a thread start
+//!   on a cold core, as an MLA modeling phase does after its blocking
+//!   evaluation batch.
 //!
 //! Each repetition of a two-path row times both paths back-to-back and the
 //! recorded speedup is the median of the per-pair ratios, so a system-wide
-//! slowdown mid-run cannot skew the comparison; one-path rows record the
-//! median repetition. Every timed result is folded into a printed sink so
-//! the optimizer cannot elide the work. Run via `scripts/bench_perf.sh`.
+//! slowdown mid-run cannot skew the comparison (the fan-out row also
+//! records the 10th percentile and alternates which width goes first);
+//! one-path rows record the median repetition. Every timed result is
+//! folded into a printed sink so the optimizer cannot elide the work. Run
+//! via `scripts/bench_perf.sh`.
 
 use gptune::gp::gp::expected_improvement;
 use gptune::gp::{LcmFitOptions, LcmHyperparams, LcmModel, Prediction};
@@ -25,17 +32,17 @@ use gptune::la::{blas, par, Cholesky, Matrix};
 use gptune::opt::lbfgs::LbfgsOptions;
 use gptune::opt::pso::{self, PsoOptions};
 use gptune::rng::{Rng, SeedableRng, StdRng};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 const DIM: usize = 4;
 const TASKS: usize = 2;
 const Q: usize = 2;
 const M_CANDS: usize = 512;
 
-fn data(n: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<usize>, Vec<f64>) {
+fn data(n: usize, dim: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<usize>, Vec<f64>) {
     let mut rng = StdRng::seed_from_u64(seed);
     let xs: Vec<Vec<f64>> = (0..n)
-        .map(|_| (0..DIM).map(|_| rng.gen::<f64>()).collect())
+        .map(|_| (0..dim).map(|_| rng.gen::<f64>()).collect())
         .collect();
     let task_of: Vec<usize> = (0..n).map(|i| i % TASKS).collect();
     let y: Vec<f64> = xs
@@ -86,9 +93,14 @@ fn five_task_data(n_per_task: usize, tasks: usize) -> (Vec<Vec<f64>>, Vec<usize>
     (xs, task_of, y)
 }
 
-fn median(mut samples: Vec<f64>) -> f64 {
+/// The `q`-quantile of `samples` (nearest rank).
+fn quantile(mut samples: Vec<f64>, q: f64) -> f64 {
     samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
+    samples[((samples.len() - 1) as f64 * q).round() as usize]
+}
+
+fn median(samples: Vec<f64>) -> f64 {
+    quantile(samples, 0.5)
 }
 
 fn time_ns<F: FnMut() -> f64>(sink: &mut f64, f: &mut F) -> f64 {
@@ -131,10 +143,10 @@ fn main() {
     // Every fit and batched prediction below runs at the machine's width,
     // so restarts and prediction chunks are timed in parallel on all cores.
     let width = std::thread::available_parallelism().map_or(1, |n| n.get());
-    par::with_width(width, run);
+    par::with_width(width, || run(width));
 }
 
-fn run() {
+fn run(width: usize) {
     let out_path = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "BENCH_lcm.json".to_string());
@@ -146,7 +158,7 @@ fn run() {
     let mut grad_ref = vec![0.0; th.len()];
     let mut nll_rows = Vec::new();
     for &n in &[64usize, 256] {
-        let (xs, task_of, y) = data(n, 9);
+        let (xs, task_of, y) = data(n, DIM, 9);
         // Warm both paths once before timing.
         sink += LcmModel::nll_at(&xs, &task_of, &y, TASKS, Q, &th, &mut grad);
         sink += LcmModel::nll_at_reference(&xs, &task_of, &y, TASKS, Q, &th, &mut grad);
@@ -160,7 +172,7 @@ fn run() {
     }
 
     // --- full fit at n = 256, cached vs `reference_impl` ------------------
-    let (xs, task_of, y) = data(256, 9);
+    let (xs, task_of, y) = data(256, DIM, 9);
     let opts = LcmFitOptions {
         n_starts: 2,
         lbfgs: LbfgsOptions {
@@ -281,6 +293,49 @@ fn run() {
         pso::minimize(&mut f, 2, &[], &pso_opts, &mut rng).value
     });
 
+    // --- modeling fan-out at small n: width 1 vs `width` -----------------
+    // Pairs alternate which width runs first; 5 ms of idle before each fit
+    // lets the other cores go cold, so every region pays a thread start.
+    const FIT_PAIRS: usize = 31;
+    const FAN_DIM: usize = 3;
+    let fan_opts = LcmFitOptions {
+        q: Q,
+        n_starts: 4,
+        ..Default::default()
+    };
+    let mut fan_rows = Vec::new();
+    for &n in &[4usize, 8, 16, 32, 48] {
+        let (xs, task_of, y) = data(n, FAN_DIM, 5);
+        let mut timed = |w: usize| {
+            std::thread::sleep(Duration::from_millis(5));
+            par::with_width(w, || {
+                time_ns(&mut sink, &mut || {
+                    LcmModel::fit(&xs, &task_of, &y, TASKS, &fan_opts).nll()
+                })
+            })
+        };
+        let (mut seq, mut fan, mut ratio) = (Vec::new(), Vec::new(), Vec::new());
+        for pair in 0..FIT_PAIRS {
+            let (s, f) = if pair % 2 == 0 {
+                let s = timed(1);
+                (s, timed(width))
+            } else {
+                let f = timed(width);
+                (timed(1), f)
+            };
+            seq.push(s);
+            fan.push(f);
+            ratio.push(s / f);
+        }
+        fan_rows.push((
+            n,
+            median(seq),
+            median(fan),
+            median(ratio.clone()),
+            quantile(ratio, 0.1),
+        ));
+    }
+
     // --- report -----------------------------------------------------------
     let mut json = String::from("{\n  \"config\": {");
     json.push_str(&format!(
@@ -331,8 +386,25 @@ fn run() {
     ));
     json.push_str(&format!(
         "  \"acquisition\": {{\"expected_improvement_ns\": {ei:.1}, \
-         \"pso_search_2d_us\": {:.1}}}\n",
+         \"pso_search_2d_us\": {:.1}}},\n",
         pso_ns / 1e3
+    ));
+    let fan: Vec<String> = fan_rows
+        .iter()
+        .map(|(n, seq, par, p50, p10)| {
+            format!(
+                "    \"n{n}\": {{\"width1_ms\": {:.2}, \"parallel_ms\": {:.2}, \
+                 \"speedup_p50\": {p50:.2}, \"speedup_p10\": {p10:.2}}}",
+                seq / 1e6,
+                par / 1e6
+            )
+        })
+        .collect();
+    json.push_str(&format!(
+        "  \"parallel_fit\": {{\"width\": {width}, \"dim\": {FAN_DIM}, \
+         \"restarts\": {}, \"pairs\": {FIT_PAIRS}, \"idle_ms\": 5,\n{}\n  }}\n",
+        fan_opts.n_starts,
+        fan.join(",\n")
     ));
     json.push_str("}\n");
 

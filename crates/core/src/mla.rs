@@ -13,10 +13,8 @@
 //! Parallelism mirrors Sec. 4: objective evaluations fan out over a worker
 //! group, the modeling phase runs L-BFGS restarts in parallel on
 //! `model_workers` threads, and the search phase parallelizes over tasks on
-//! `search_workers` threads — both as `gptune_la::par` regions, and only
-//! once the training set reaches [`gptune_gp::lcm::PARALLEL_MIN_N`]; below
-//! it they run inline, since a thread start on a cold core can then cost
-//! more than the region saves.
+//! `search_workers` threads — both as `gptune_la::par` regions, at every
+//! training-set size.
 //!
 //! The run lifecycle around the loop — archive, known failures, warm
 //! start, checkpoint/resume, preemption, end-of-run archiving — is the
@@ -30,7 +28,6 @@ use crate::perfmodel::{FeatureScaler, LinearPerfModel};
 use crate::problem::TuningProblem;
 use gptune_db::{CheckpointKind, Db};
 use gptune_gp::gp::{expected_improvement, lower_confidence_bound, probability_of_improvement};
-use gptune_gp::lcm::PARALLEL_MIN_N;
 use gptune_gp::{IncrementalLcm, LcmFitOptions, LcmModel, Prediction};
 use gptune_la::par;
 use gptune_opt::{cmaes, de, pso};
@@ -569,20 +566,14 @@ impl<'a> Campaign<'a> {
     }
 }
 
-/// Runs `search_one` for every task: on up to `opts.search_workers`
-/// threads once the training set of `n` points reaches [`PARALLEL_MIN_N`],
-/// inline below it.
+/// Runs `search_one` for every task on up to `opts.search_workers`
+/// threads, results in task order.
 pub(crate) fn search_tasks<T: Send>(
-    n: usize,
     delta: usize,
     opts: &MlaOptions,
     search_one: impl Fn(usize) -> T + Sync,
 ) -> Vec<T> {
-    if n >= PARALLEL_MIN_N {
-        par::with_width(opts.search_workers, || par::map_indexed(delta, search_one))
-    } else {
-        (0..delta).map(search_one).collect()
-    }
+    par::with_width(opts.search_workers, || par::map_indexed(delta, search_one))
 }
 
 /// The sampling phase of a fresh Algorithm 1 or 2 run: the warm start,
@@ -976,7 +967,7 @@ pub fn tune(problem: &TuningProblem, opts: &MlaOptions) -> MlaResult {
                         .wrapping_add(i as u64 * 104729)
                 })
                 .collect();
-            search_tasks(inputs.xs.len(), delta, opts, |task_idx| {
+            search_tasks(delta, opts, |task_idx| {
                 let mut trng = StdRng::seed_from_u64(seeds[task_idx]);
                 let y_best_model = c.evals.model_incumbent(task_idx, 0, opts.log_objective);
                 let cfg = search_task(
@@ -1067,30 +1058,37 @@ mod tests {
 
     #[test]
     fn parallel_regions_are_bit_identical_to_sequential() {
-        // Eight tasks × six initial samples put the training set at the
-        // parallel gate from the first iteration, so the restarts and the
-        // per-task searches run on the workers whenever workers > 1.
-        let p = toy_problem(8);
-        const { assert!(8 * 6 >= PARALLEL_MIN_N) };
-        let run = |workers: usize| {
-            let mut o = fast_opts(12);
-            o.model_workers = workers;
-            o.search_workers = workers;
-            tune(&p, &o)
+        // The restarts and the per-task searches run on the workers
+        // whenever workers > 1, from the first iteration on: 2 tasks × 3
+        // initial samples is a 6-point training set, 8 × 6 a 48-point one.
+        let bits = |r: &MlaResult| -> Vec<Vec<(Config, u64)>> {
+            r.per_task
+                .iter()
+                .map(|t| {
+                    t.samples
+                        .iter()
+                        .map(|(c, y)| (c.clone(), y.to_bits()))
+                        .collect()
+                })
+                .collect()
         };
-        let seq = run(1);
-        let par = run(4);
-        for (a, b) in seq.per_task.iter().zip(&par.per_task) {
-            assert_eq!(a.samples.len(), 12);
-            assert_eq!(a.best_config, b.best_config);
-            assert_eq!(a.best_value.to_bits(), b.best_value.to_bits());
-            let bits = |t: &TaskResult| -> Vec<(Config, u64)> {
-                t.samples
-                    .iter()
-                    .map(|(c, y)| (c.clone(), y.to_bits()))
-                    .collect()
+        for (delta, budget) in [(2, 6), (8, 12)] {
+            let p = toy_problem(delta);
+            let run = |workers: usize| {
+                let mut o = fast_opts(budget);
+                o.model_workers = workers;
+                o.search_workers = workers;
+                tune(&p, &o)
             };
-            assert_eq!(bits(a), bits(b), "history diverged between 1 and 4 workers");
+            let seq = run(1);
+            assert!(seq.per_task.iter().all(|t| t.samples.len() == budget));
+            for workers in [2, 4] {
+                assert_eq!(
+                    bits(&seq),
+                    bits(&run(workers)),
+                    "δ = {delta}: history diverged between 1 and {workers} workers"
+                );
+            }
         }
     }
 

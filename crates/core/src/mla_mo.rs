@@ -198,8 +198,13 @@ pub fn tune_multiobjective(problem: &TuningProblem, opts: &MlaOptions) -> MoMlaR
                     }
                 }
                 // Top up with random feasible samples if the front was too
-                // small or collapsed onto known points.
-                while picked.len() < k {
+                // small or collapsed onto known points. The draws are
+                // bounded, so a task whose feasible configurations are all
+                // evaluated proposes fewer than `k`.
+                for _ in 0..100 {
+                    if picked.len() >= k {
+                        break;
+                    }
                     let fresh = sampling::sample_space(&problem.tuning_space, 1, &mut trng, 300);
                     match fresh.into_iter().next() {
                         Some(cfg)
@@ -208,15 +213,13 @@ pub fn tune_multiobjective(problem: &TuningProblem, opts: &MlaOptions) -> MoMlaR
                         {
                             picked.push((task_idx, cfg));
                         }
-                        Some(_) => continue,
+                        Some(_) => {}
                         None => break,
                     }
                 }
                 picked
             };
-            // Every objective's model shares the sample set, so the first
-            // one's size gates the fan-out.
-            search_tasks(per_objective[0].0.xs.len(), delta, opts, search_one)
+            search_tasks(delta, opts, search_one)
                 .into_iter()
                 .flatten()
                 .collect::<Vec<_>>()
@@ -350,6 +353,72 @@ mod tests {
         let r = tune_multiobjective(&p, &o);
         // 8 initial + 2 iterations × 4 = 16.
         assert_eq!(r.per_task[0].samples.len(), 16);
+    }
+
+    #[test]
+    fn parallel_regions_are_bit_identical_to_sequential() {
+        let p = toy_mo(2);
+        let run = |workers: usize| {
+            let mut o = fast_opts(8);
+            o.model_workers = workers;
+            o.search_workers = workers;
+            let r = tune_multiobjective(&p, &o);
+            r.per_task
+                .iter()
+                .map(|t| {
+                    t.samples
+                        .iter()
+                        .map(|(c, y)| (c.clone(), y.iter().map(|v| v.to_bits()).collect()))
+                        .collect::<Vec<(Config, Vec<u64>)>>()
+                })
+                .collect::<Vec<_>>()
+        };
+        let seq = run(1);
+        assert!(seq.iter().all(|t| t.len() >= 8));
+        for workers in [2, 4] {
+            assert_eq!(
+                seq,
+                run(workers),
+                "history diverged between 1 and {workers} workers"
+            );
+        }
+    }
+
+    #[test]
+    fn exhausted_space_ends_the_run() {
+        // Three feasible configurations, a budget of eight: after the
+        // initial design has evaluated all three, no iteration can find a
+        // new one, and the budget loop must still end.
+        let ts = Space::builder().param(Param::real("t", 0.0, 1.0)).build();
+        let ps = Space::builder().param(Param::int("x", 0, 2)).build();
+        let p = TuningProblem::new(
+            "tiny-mo",
+            ts,
+            ps,
+            vec![vec![Value::Real(0.0)]],
+            |_, x, _| {
+                let xv = x[0].as_int() as f64;
+                vec![1.0 + xv, 3.0 - xv]
+            },
+        )
+        .with_objectives(2);
+        let mut o = fast_opts(8);
+        o.k_per_iter = 4;
+        let start = std::time::Instant::now();
+        let r = tune_multiobjective(&p, &o);
+        assert!(
+            start.elapsed() < std::time::Duration::from_secs(1),
+            "took {:?}",
+            start.elapsed()
+        );
+        assert!(r.completed);
+        let mut xs: Vec<i64> = r.per_task[0]
+            .samples
+            .iter()
+            .map(|(c, _)| c[0].as_int())
+            .collect();
+        xs.sort_unstable();
+        assert_eq!(xs, vec![0, 1, 2]);
     }
 
     #[test]

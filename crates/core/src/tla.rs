@@ -342,6 +342,28 @@ mod tests {
         assert_eq!(stats.n_evals, 6);
     }
 
+    #[test]
+    fn tla2_model_workers_are_bit_identical_to_sequential() {
+        let p = family(4);
+        let h = seeded_history(&p, 1);
+        let run = |workers: usize| {
+            let mut o = fast_opts(5);
+            o.model_workers = workers;
+            let (r, _) = transfer_tune(&p, &h, 1, &o);
+            r.samples
+                .iter()
+                .map(|(c, y)| (c.clone(), y.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        let seq = run(1);
+        assert_eq!(seq.len(), 5);
+        assert_eq!(
+            seq,
+            run(2),
+            "history diverged between 1 and 2 model workers"
+        );
+    }
+
     fn tmp_root(tag: &str) -> std::path::PathBuf {
         let d = std::env::temp_dir().join(format!("gptune_tla_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&d);
@@ -377,9 +399,16 @@ mod tests {
         assert_eq!(resumed.best_config, full.best_config);
 
         // The completed resume archived the run and cleared its checkpoint.
+        let ckpts = std::fs::read_dir(&root_split)
+            .unwrap()
+            .filter(|e| {
+                let name = e.as_ref().unwrap().file_name();
+                name.to_string_lossy().starts_with("ckpt-")
+            })
+            .count();
+        assert_eq!(ckpts, 0, "checkpoint not cleared");
         let db = gptune_db::Db::open(&root_split).unwrap();
         let sig = crate::db_bridge::problem_signature(&p);
-        assert!(db.load_checkpoint(sig, resume_opts.seed).unwrap().is_none());
         let recs = db
             .query(&p.name, sig, &gptune_db::Query::default())
             .unwrap();

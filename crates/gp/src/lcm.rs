@@ -14,19 +14,6 @@ use gptune_la::{par, Cholesky, Matrix};
 use gptune_opt::lbfgs::{self, LbfgsOptions};
 use gptune_rng::{Rng, SeedableRng, StdRng};
 
-/// Training-set size from which the modeling and search phases fan out
-/// over their workers: the L-BFGS restarts of [`LcmModel::fit`] and the
-/// per-task searches of the MLA loop run on a [`par`] region only when
-/// `n ≥ PARALLEL_MIN_N`; below it they run inline on the calling thread.
-///
-/// Set from timing a sequential vs a two-thread 4-restart fit on a cold
-/// second core (5 ms idle before each timed fit, so every region pays a
-/// fresh thread start): 48 is the smallest size whose median saving covers
-/// the worst overrun a parallel fit showed (a slow thread start or a
-/// descheduled second vCPU). Below it a region can lose more in the tail
-/// than it saves at the median. Measurements: DESIGN.md §8.1.
-pub const PARALLEL_MIN_N: usize = 48;
-
 /// LCM hyperparameters (paper Eq. 4).
 #[derive(Debug, Clone)]
 pub struct LcmHyperparams {
@@ -137,8 +124,7 @@ pub struct LcmFitOptions {
     /// Eq. 3; Matérn 5/2 is available for ablations).
     pub kernel: KernelKind,
     /// Number of random L-BFGS restarts (`n_start` in Sec. 4.3), run in
-    /// parallel on the caller's `gptune_la::par` width once the training
-    /// set reaches [`PARALLEL_MIN_N`].
+    /// parallel on the caller's `gptune_la::par` width.
     pub n_starts: usize,
     /// Inner L-BFGS configuration.
     pub lbfgs: LbfgsOptions,
@@ -334,8 +320,8 @@ impl LcmModel {
             }
         };
 
-        // Multi-start L-BFGS over the packed hyperparameters, in parallel
-        // once the training set is large enough to pay for a thread start.
+        // Multi-start L-BFGS over the packed hyperparameters, spread over
+        // the caller's region width.
         let restart = |k: usize| {
             let restart_span = tracer.span("gptune.gp.fit_restart").with("restart", k);
             let mut rng = StdRng::seed_from_u64(opts.seed.wrapping_add(k as u64));
@@ -349,11 +335,7 @@ impl LcmModel {
             drop(restart_span.with("nll", r.value));
             (r.value, r.x)
         };
-        let results: Vec<(f64, Vec<f64>)> = if n >= PARALLEL_MIN_N {
-            par::map_indexed(n_starts, restart)
-        } else {
-            (0..n_starts).map(restart).collect()
-        };
+        let results = par::map_indexed(n_starts, restart);
 
         let (best_nll, best_theta) = results
             .into_iter()
@@ -383,9 +365,8 @@ impl LcmModel {
             .collect();
         let coeffs = task_coeffs(&hp);
         let packed: Vec<PackedKernel> = kernels.iter().map(|k| dists.packed(k)).collect();
-        let sigma = assemble_covariance(task_of, n_tasks, &coeffs, &packed, &hp.d);
-        let chol = Cholesky::factor_with_jitter(&sigma, 0.0, 12)
-            .expect("LCM covariance not factorizable even with jitter");
+        let chol =
+            factor_covariance(|| assemble_covariance(task_of, n_tasks, &coeffs, &packed, &hp.d));
         let alpha = chol.solve(&y_std_vals);
         let prior_var: Vec<f64> = (0..n_tasks)
             .map(|task| {
@@ -491,9 +472,8 @@ impl LcmModel {
         let coeffs = task_coeffs(&hp);
         let dists = DistanceCache::build(xs);
         let packed: Vec<PackedKernel> = kernels.iter().map(|k| dists.packed(k)).collect();
-        let sigma = assemble_covariance(task_of, n_tasks, &coeffs, &packed, &hp.d);
-        let chol = Cholesky::factor_with_jitter(&sigma, 0.0, 12)
-            .expect("LCM covariance not factorizable even with jitter");
+        let chol =
+            factor_covariance(|| assemble_covariance(task_of, n_tasks, &coeffs, &packed, &hp.d));
         let alpha = chol.solve(&y_std_vals);
         let prior_var: Vec<f64> = (0..n_tasks)
             .map(|task| {
@@ -1214,6 +1194,17 @@ fn assemble_covariance(
     sigma
 }
 
+/// Factors the covariance that `assemble` builds, in place, so a
+/// factorizable `Σ` is never copied. Only when that fails is `Σ`
+/// assembled again for the jittered retries; assembly is deterministic,
+/// so they see the same matrix and the factor is the one
+/// [`Cholesky::factor_with_jitter`] returns on the first assembly.
+fn factor_covariance(assemble: impl Fn() -> Matrix) -> Cholesky {
+    Cholesky::factor_in_place(assemble())
+        .or_else(|_| Cholesky::factor_with_jitter(&assemble(), 0.0, 12))
+        .expect("LCM covariance not factorizable even with jitter")
+}
+
 /// Shared per-fit context for likelihood evaluations: the training data
 /// and the distance cache.
 struct FitCtx<'a> {
@@ -1847,28 +1838,41 @@ mod tests {
 
     #[test]
     fn fit_is_bit_identical_across_region_widths() {
-        // Above the size gate the restarts run on the region's threads;
-        // results come back in restart order, so the fit cannot depend on
-        // how many threads ran them.
-        let (xs, tasks, ys) = toy_multitask_data(PARALLEL_MIN_N / 2 + 4);
-        assert!(xs.len() >= PARALLEL_MIN_N);
-        let fit = |width: usize| {
-            par::with_width(width, || {
-                LcmModel::fit(&xs, &tasks, &ys, 2, &LcmFitOptions::default())
-            })
-        };
+        // The restarts run on the region's threads at every training-set
+        // size; results come back in restart order, so the fit cannot
+        // depend on how many threads ran them.
         let bits = |m: &LcmModel| -> Vec<u64> {
             let mut v: Vec<u64> = m.hyperparams().pack().iter().map(|x| x.to_bits()).collect();
             v.push(m.nll().to_bits());
+            let p = m.predict(1, &[0.37]);
+            v.extend([p.mean.to_bits(), p.variance.to_bits()]);
             v
         };
-        let one = fit(1);
-        let four = fit(4);
-        assert_eq!(bits(&one), bits(&four));
-        let p1 = one.predict(1, &[0.37]);
-        let p4 = four.predict(1, &[0.37]);
-        assert_eq!(p1.mean.to_bits(), p4.mean.to_bits());
-        assert_eq!(p1.variance.to_bits(), p4.variance.to_bits());
+        for n in [2usize, 5, 17, 47, 64] {
+            let (mut xs, mut tasks, mut ys) = toy_multitask_data(n.div_ceil(2));
+            xs.truncate(n);
+            tasks.truncate(n);
+            ys.truncate(n);
+            let fit = |width: usize| {
+                par::with_width(width, || {
+                    bits(&LcmModel::fit(
+                        &xs,
+                        &tasks,
+                        &ys,
+                        2,
+                        &LcmFitOptions::default(),
+                    ))
+                })
+            };
+            let one = fit(1);
+            for width in [2, 4] {
+                assert_eq!(
+                    one,
+                    fit(width),
+                    "n = {n}: width {width} diverged from width 1"
+                );
+            }
+        }
     }
 
     #[test]

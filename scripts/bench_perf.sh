@@ -4,7 +4,8 @@
 #
 #   * lcm_perf        -> BENCH_lcm.json             distance-cached LCM vs
 #                        reference likelihood/fit/prediction speedups,
-#                        plus Cholesky, 5-task LCM and acquisition rows
+#                        plus Cholesky, 5-task LCM, acquisition and
+#                        small-n parallel fit (width 1 vs nproc) rows
 #   * lcm_scale       -> BENCH_lcm_scale.json       incremental extension vs
 #                        from-scratch rebuild (>= 5x at n = 4096), capped
 #                        active-set fit and predict cost across n

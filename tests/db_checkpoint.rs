@@ -91,9 +91,9 @@ fn interrupted_mla_resumes_to_identical_result() {
     assert_eq!(last.stats.n_evals, full.stats.n_evals);
 
     // Completion archived the run and cleared the checkpoint.
+    assert!(checkpoint_files(&root).is_empty(), "checkpoint not cleared");
     let db = Db::open(&root).unwrap();
     let sig = gptune::core::problem_signature(&p);
-    assert!(db.load_checkpoint(sig, o.seed).unwrap().is_none());
     let archived = db.query(&p.name, sig, &Query::default()).unwrap();
     assert_eq!(archived.len(), budget * 2, "every eval archived once");
     let _ = std::fs::remove_dir_all(&root);
