@@ -235,9 +235,11 @@ pub fn provenance(opts: &MlaOptions, delta: usize) -> Provenance {
 /// Opens the archive configured in the options, if any. An unopenable
 /// archive is a configuration error and panics loudly — silently tuning
 /// without durability would defeat the point of asking for it.
-// PANIC-SAFETY: deliberate fail-fast on a user configuration error; the
-// run must not proceed without the durability the user asked for.
-#[allow(clippy::panic)]
+#[expect(
+    clippy::panic,
+    reason = "PANIC-SAFETY: deliberate fail-fast on a user configuration error; the run must not \
+              proceed without the durability the user asked for"
+)]
 pub(crate) fn open_db(opts: &MlaOptions) -> Option<Db> {
     opts.db_path.as_ref().map(|p| {
         // Opening scans the journal and replays any interrupted write —
@@ -285,9 +287,11 @@ pub(crate) fn checkpoint_from_run(c: &Campaign<'_>) -> Checkpoint {
 
 /// Builds and atomically persists a checkpoint of the in-flight state.
 /// Failure panics: the user asked for durability; losing it is loud.
-// PANIC-SAFETY: losing the ability to checkpoint mid-run is fatal by
-// design — continuing would silently void the crash-resume guarantee.
-#[allow(clippy::panic)]
+#[expect(
+    clippy::panic,
+    reason = "PANIC-SAFETY: losing the ability to checkpoint mid-run is fatal by design — \
+              continuing would silently void the crash-resume guarantee"
+)]
 pub(crate) fn write_checkpoint(db: &Db, c: &Campaign<'_>) {
     let ckpt = checkpoint_from_run(c);
     let _span = gptune_trace::global()

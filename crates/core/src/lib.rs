@@ -26,6 +26,19 @@
 //!   loop used by the `gptune-serve` layer: the caller owns evaluation,
 //!   the session owns the archive and refits the surrogate lazily.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 pub mod db_bridge;
 pub mod history;
 pub mod metrics;

@@ -212,9 +212,11 @@ pub(crate) fn evaluate_batch(
         let seed = opts.seed;
         let policy = opts.fault_policy();
         let slots: Vec<usize> = live.iter().map(|(k, _)| *k).collect();
-        // PANIC-SAFETY: `group` was spawned on the previous line and no
-        // shutdown() has run, so try_map on it cannot observe a closed group.
-        #[allow(clippy::expect_used)]
+        #[expect(
+            clippy::expect_used,
+            reason = "PANIC-SAFETY: `group` was spawned on the previous line and no shutdown() has \
+                      run, so try_map on it cannot observe a closed group"
+        )]
         let outcomes = group
             .try_map(live, &policy, move |(k, (task_idx, config)), attempt| {
                 let base = seed
@@ -272,10 +274,12 @@ pub(crate) fn evaluate_batch(
                     outputs[k] = best;
                 }
                 failed => {
-                    // PANIC-SAFETY: this match arm only sees non-Ok
-                    // outcomes, and every non-Ok EvalOutcome variant
-                    // carries a failure kind by construction.
-                    #[allow(clippy::expect_used)]
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "PANIC-SAFETY: this match arm only sees non-Ok outcomes, and \
+                                  every non-Ok EvalOutcome variant carries a failure kind by \
+                                  construction"
+                    )]
                     let kind = failed
                         .failure_kind()
                         .expect("non-Ok outcome has a failure kind");
@@ -391,10 +395,11 @@ impl<'a> Campaign<'a> {
             c.db.as_ref()
                 .filter(|_| opts.warm_start_from_db || opts.checkpointing())
         {
-            // PANIC-SAFETY: an unreadable archive on a run that was
-            // explicitly asked to use one is fatal by design (same policy
-            // as db_bridge::open_db).
-            #[allow(clippy::panic)]
+            #[expect(
+                clippy::panic,
+                reason = "PANIC-SAFETY: an unreadable archive on a run that was explicitly asked \
+                          to use one is fatal by design (same policy as db_bridge::open_db)"
+            )]
             let known = db_bridge::known_failures(db, problem, c.sig)
                 .unwrap_or_else(|e| panic!("gptune-db: cannot read failure records: {e}"));
             c.known_failed = known;
@@ -435,9 +440,11 @@ impl<'a> Campaign<'a> {
         let Some(db) = self.db.as_ref().filter(|_| self.opts.warm_start_from_db) else {
             return;
         };
-        // PANIC-SAFETY: unreadable archive on an explicit warm-start
-        // request is fatal by design.
-        #[allow(clippy::panic)]
+        #[expect(
+            clippy::panic,
+            reason = "PANIC-SAFETY: unreadable archive on an explicit warm-start request is fatal \
+                      by design"
+        )]
         let records = db_bridge::preload_from_db(db, self.problem, self.sig)
             .unwrap_or_else(|e| panic!("gptune-db: cannot read archive: {e}"));
         self.preload(records);
@@ -555,9 +562,11 @@ impl<'a> Campaign<'a> {
             self.checkpoint();
             return;
         }
-        // PANIC-SAFETY: losing the final archive write would silently
-        // discard the run's results; fail loudly instead.
-        #[allow(clippy::panic)]
+        #[expect(
+            clippy::panic,
+            reason = "PANIC-SAFETY: losing the final archive write would silently discard the \
+                      run's results; fail loudly instead"
+        )]
         db_bridge::archive_run(db, self)
             .unwrap_or_else(|e| panic!("gptune-db: cannot archive run: {e}"));
         if self.opts.checkpointing() {
@@ -628,9 +637,11 @@ impl Enricher {
         task_idx: usize,
         config: &[Value],
     ) -> Vec<f64> {
-        // PANIC-SAFETY: an Enricher is only constructed (below) when
-        // `problem.model.is_some()`, so model_features cannot return None.
-        #[allow(clippy::expect_used)]
+        #[expect(
+            clippy::expect_used,
+            reason = "PANIC-SAFETY: an Enricher is only constructed (below) when \
+                      `problem.model.is_some()`, so model_features cannot return None"
+        )]
         let raw = problem
             .model_features(task_idx, config)
             .expect("enricher requires a model");
@@ -666,9 +677,11 @@ pub(crate) fn build_inputs(
     let task_of: Vec<usize> = evals.points.iter().map(|(t, _)| *t).collect();
 
     let enrich = if opts.use_model_features && problem.model.is_some() {
-        // PANIC-SAFETY: guarded by `problem.model.is_some()` on the line
-        // above; model_features only returns None when the model is absent.
-        #[allow(clippy::expect_used)]
+        #[expect(
+            clippy::expect_used,
+            reason = "PANIC-SAFETY: guarded by `problem.model.is_some()` on the line above; \
+                      model_features only returns None when the model is absent"
+        )]
         let raw: Vec<Vec<f64>> = evals
             .points
             .iter()
@@ -758,7 +771,11 @@ pub(crate) fn censor_failures(mut y: Vec<f64>) -> Vec<f64> {
 /// One EI/PSO search for a single task. Returns a feasible, non-duplicate
 /// configuration. Configurations in `known_failed` get the acquisition
 /// barrier of infeasible ones.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "MLA, TLA and serve sessions each hold these pieces separately; a bundle struct \
+              would exist only for this call"
+)]
 pub(crate) fn search_task(
     problem: &TuningProblem,
     model: &LcmModel,
@@ -953,8 +970,10 @@ pub fn tune(problem: &TuningProblem, opts: &MlaOptions) -> MlaResult {
                     surrogate.update(&inputs.xs, &inputs.task_of, &y, delta, &lcm_opts)
                 })
             });
-        // PANIC-SAFETY: update always leaves a fitted model in place.
-        #[allow(clippy::expect_used)]
+        #[expect(
+            clippy::expect_used,
+            reason = "PANIC-SAFETY: update always leaves a fitted model in place"
+        )]
         let model = surrogate.model().expect("surrogate updated this iteration");
 
         // Search phase: one new point per task.
@@ -1161,8 +1180,6 @@ mod tests {
             assert_eq!(w[1].n_evals, w[0].n_evals + 2);
             assert!(w[1].incumbent <= w[0].incumbent, "incumbent must improve");
         }
-        // PANIC-SAFETY: asserted non-empty above (len == 5).
-        #[allow(clippy::unwrap_used)]
         let last = r.iterations.last().unwrap();
         assert_eq!(last.n_evals, r.stats.n_evals);
         // Per-iteration walls sum to at most the aggregate phase walls

@@ -106,8 +106,10 @@ pub fn tune_multiobjective(problem: &TuningProblem, opts: &MlaOptions) -> MoMlaR
                 }
             })
         });
-        // PANIC-SAFETY: every surrogate was updated just above.
-        #[allow(clippy::expect_used)]
+        #[expect(
+            clippy::expect_used,
+            reason = "PANIC-SAFETY: every surrogate was updated just above"
+        )]
         let models: Vec<&LcmModel> = surrogates
             .iter()
             .map(|s| s.model().expect("surrogate updated this iteration"))

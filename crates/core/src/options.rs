@@ -81,8 +81,9 @@ pub struct MlaOptions {
     /// Worker threads for parallel objective evaluation (the spawned
     /// "function evaluation" group of Sec. 4.2).
     pub eval_workers: usize,
-    /// Worker threads for the modeling phase (L-BFGS restarts + parallel
-    /// covariance factorization; Sec. 4.3).
+    /// Worker threads for the modeling phase: the L-BFGS restarts of each
+    /// LCM fit run in parallel (Sec. 4.3); every covariance factorization
+    /// runs on the thread of the restart that needs it.
     pub model_workers: usize,
     /// Worker threads for the per-task search phase (Sec. 4.3).
     pub search_workers: usize,

@@ -198,8 +198,10 @@ pub fn transfer_tune(
                 surrogate.update(&inputs.xs, &inputs.task_of, &y, delta, &lcm_opts)
             })
         });
-        // PANIC-SAFETY: update always leaves a fitted model in place.
-        #[allow(clippy::expect_used)]
+        #[expect(
+            clippy::expect_used,
+            reason = "PANIC-SAFETY: update always leaves a fitted model in place"
+        )]
         let model = surrogate.model().expect("surrogate updated this iteration");
 
         let y_best_model = c.evals.model_incumbent(target_idx, 0, opts.log_objective);

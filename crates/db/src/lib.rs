@@ -4,7 +4,7 @@
 //! The GPTune workflow accumulates every objective evaluation into a
 //! shared archive that later runs reuse (MLA warm starts, TLA transfer
 //! tuning). At production scale that archive must survive killed runs and
-//! concurrent writers, which the in-memory [`gptune-core`] `History` with
+//! concurrent writers, which the in-memory `gptune-core` `History` with
 //! a whole-file JSON dump cannot. This crate is the durable substrate:
 //!
 //! * [`journal`] — one append-only JSONL file per problem signature.
@@ -35,6 +35,20 @@
 //! The crate is deliberately dependency-free (std only), including its
 //! JSON codec ([`json`]): the storage layer must build wherever the tuner
 //! builds.
+
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 pub mod checkpoint;
 pub mod db;

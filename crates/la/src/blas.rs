@@ -14,7 +14,7 @@ const DOT_LANES: usize = 8;
 
 /// Dot product `xᵀ y`.
 ///
-/// Reduced over [`DOT_LANES`] independent accumulators instead of one
+/// Reduced over eight (`DOT_LANES`) independent accumulators instead of one
 /// sequential fold: a strict left-to-right sum is a single dependency chain
 /// (one multiply-add per add-latency), while independent lanes vectorize
 /// and pipeline. The reassociation perturbs the result by a few ulps

@@ -4,7 +4,7 @@
 //! Operates on the unit hypercube with real-coded individuals, simulated
 //! binary crossover (SBX), polynomial mutation, fast non-dominated sorting,
 //! and crowding-distance selection — the standard configuration the paper
-//! cites ([5] Deb et al. 2002).
+//! cites (\[5\] Deb et al. 2002).
 
 use gptune_rng::Rng;
 

@@ -52,7 +52,7 @@ impl Default for TpeOptions {
 ///
 /// Falls back to uniform random when the history is too small for a useful
 /// split (matching HpBandSter's `min_points_in_model` behaviour), and on a
-/// [`RANDOM_FRACTION`] share of the proposals after that.
+/// `RANDOM_FRACTION` (one third) share of the proposals after that.
 pub fn propose(
     xs: &[Vec<f64>],
     ys: &[f64],

@@ -162,10 +162,12 @@ impl WorkerGroup {
     fn spawn_worker(&self) -> u64 {
         let id = self.shared.next_worker_id.fetch_add(1, Ordering::Relaxed);
         let shared = Arc::clone(&self.shared);
-        // PANIC-SAFETY: OS thread spawn fails only on resource
-        // exhaustion; the executor cannot make progress without its
-        // workers, so failing fast is the only sound option.
-        #[allow(clippy::expect_used)]
+        #[expect(
+            clippy::expect_used,
+            reason = "PANIC-SAFETY: OS thread spawn fails only on resource exhaustion; the \
+                      executor cannot make progress without its workers, so failing fast is the \
+                      only sound option"
+        )]
         let handle = std::thread::Builder::new()
             .name(format!("gptune-worker-{id}"))
             .spawn(move || {
@@ -399,10 +401,13 @@ impl WorkerGroup {
         // them; `map`'s `f` consumes its item, so stage each in a
         // take-once cell (no retries under `FaultPolicy::none`).
         let cells: Vec<Mutex<Option<T>>> = items.into_iter().map(|x| Mutex::new(Some(x))).collect();
-        // PANIC-SAFETY: `map` is the documented panic-propagating wrapper
-        // (its contract above): a failed job or a closed group re-raises
-        // on the master. Fault-tolerant callers use `try_map` instead.
-        #[allow(clippy::expect_used, clippy::panic)]
+        #[expect(
+            clippy::expect_used,
+            clippy::panic,
+            reason = "PANIC-SAFETY: `map` is the documented panic-propagating wrapper (its \
+                      contract above): a failed job or a closed group re-raises on the master. \
+                      Fault-tolerant callers use `try_map` instead"
+        )]
         {
             let outcomes = self
                 .try_map(cells, &FaultPolicy::none(), move |cell, _attempt| {

@@ -14,9 +14,6 @@
 //!   inter-communicators of Fig. 1);
 //! * [`stats`] collects the per-phase time breakdown that GPTune prints
 //!   after "stats:" in its runlogs (used by Table 3 and Fig. 3);
-//! * [`collectives`] offers the MPI collective vocabulary (broadcast,
-//!   scatter/gather, reduce, allreduce) over a worker group, so tuner code
-//!   reads like its MPI counterpart;
 //! * [`fault`] is the fault model: every job is panic-isolated, deadlines
 //!   are enforced by a master-side watchdog, transient faults retry with
 //!   exponential backoff, and [`WorkerGroup::try_map`] surfaces it all as
@@ -27,14 +24,24 @@
 //! `gptune_la::par` fork-join regions instead; the tuners size them from
 //! `model_workers` / `search_workers` with `par::with_width`.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
-pub mod collectives;
 pub mod executor;
 pub mod fault;
 pub mod stats;
 
-pub use collectives::{broadcast_map, map_allreduce, map_reduce, scatter_gather};
 pub use executor::{SharedCounter, WorkerGroup};
 pub use fault::{EvalOutcome, FailureKind, FaultPolicy, GroupClosed, JobStatus, TransientSignal};
 pub use stats::{Phase, PhaseStats, PhaseTimer};

@@ -237,7 +237,6 @@ impl PhaseTimer {
         iteration: Option<u64>,
         f: impl FnOnce() -> R,
     ) -> (R, Duration) {
-        let start_ns = self.tracer.now_ns();
         let t0 = Instant::now();
         let r = f();
         let dt = t0.elapsed();
@@ -253,8 +252,15 @@ impl PhaseTimer {
         let fields = iteration
             .map(|it| vec![("iteration".into(), Field::U64(it))])
             .unwrap_or_default();
-        self.tracer
-            .record_span(phase.span_name(), start_ns, dt, fields);
+        // The span starts at `t0`, the instant `dt` runs from: a second
+        // clock read for the start would shift the recorded end earlier
+        // than the real one, ahead of spans that closed inside the phase.
+        self.tracer.record_span(
+            phase.span_name(),
+            self.tracer.ns_since_epoch(t0),
+            dt,
+            fields,
+        );
         (r, dt)
     }
 
@@ -539,6 +545,52 @@ mod tests {
             "iteration tag on phase span"
         );
         assert!(data.events.iter().any(|e| e.name == "gptune.core.modeling"));
+    }
+
+    #[test]
+    fn spans_inside_a_phase_never_end_after_it() {
+        // Several threads on a small machine get preempted between clock
+        // reads now and then; a phase span whose start and duration origin
+        // were two reads could then record an end before its child's.
+        let tracer = Tracer::ring(1 << 14);
+        let timer = PhaseTimer::with_tracer(tracer.clone());
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                let (timer, tracer) = (&timer, &tracer);
+                s.spawn(move || {
+                    for i in 0..4000u64 {
+                        timer.time_iter(Phase::Search, i, || {
+                            tracer.span("child").with("i", i).finish();
+                        });
+                    }
+                });
+            }
+        });
+        let data = tracer.drain();
+        assert_eq!(data.dropped, 0);
+        let mut phases = std::collections::BTreeMap::new();
+        for e in data
+            .events
+            .iter()
+            .filter(|e| e.name == "gptune.core.search")
+        {
+            let i = e.field("iteration").and_then(Field::as_u64).unwrap();
+            phases.insert((e.track, i), (e.ts_ns, e.ts_ns + e.dur_ns().unwrap()));
+        }
+        let mut children = 0;
+        for e in data.events.iter().filter(|e| e.name == "child") {
+            let i = e.field("i").and_then(Field::as_u64).unwrap();
+            let (p_start, p_end) = phases[&(e.track, i)];
+            let end = e.ts_ns + e.dur_ns().unwrap();
+            assert!(e.ts_ns >= p_start, "child {i} starts before its phase");
+            assert!(
+                end <= p_end,
+                "child {i} ends {} ns after its phase",
+                end - p_end
+            );
+            children += 1;
+        }
+        assert_eq!(children, 16_000);
     }
 
     #[test]

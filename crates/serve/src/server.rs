@@ -31,7 +31,7 @@
 //! session to the archive and answers further work with a typed
 //! `draining` error that clients treat as reconnect-with-backoff.
 //!
-//! # Lock discipline (GX302)
+//! # Lock discipline (GX702)
 //!
 //! The session table mutex guards *only* table lookups: handlers lock the
 //! table, clone the session's `Arc`, and drop the guard before doing any
@@ -147,8 +147,8 @@ struct SessionEntry {
 }
 
 /// One table slot. The LRU stamp lives outside the entry mutex so the
-/// eviction scan can read it under the table lock alone (GX302: no
-/// per-session lock is ever taken while the table is locked).
+/// eviction scan can read it under the table lock alone (no per-session
+/// lock is ever taken while the table is locked; DESIGN.md §6 lock order).
 struct SessionSlot {
     touch: AtomicU64,
     entry: Mutex<SessionEntry>,
@@ -392,7 +392,7 @@ fn evict_to_cap(state: &ServerState, protect: &str) {
             key.and_then(|k| table.remove(&k).map(|slot| (k, slot)))
         };
         let Some((_key, slot)) = victim else { return };
-        // Flush outside the table lock (GX302).
+        // Flush outside the table lock (GX702).
         if flush_slot(store, &slot).is_err() {
             gptune_trace::global()
                 .counter("gptune.serve.archive_errors")

@@ -268,10 +268,13 @@ impl Tracer {
         self.inner.is_some()
     }
 
-    /// Nanoseconds since the tracer's epoch (0 when disabled).
-    pub fn now_ns(&self) -> u64 {
+    /// Nanoseconds from the tracer's epoch to `at` (0 when disabled). A
+    /// caller that times an interval itself passes the `Instant` its
+    /// duration runs from, so the recorded start and the duration share
+    /// one clock read.
+    pub fn ns_since_epoch(&self, at: Instant) -> u64 {
         match &self.inner {
-            Some(inner) => inner.epoch.elapsed().as_nanos() as u64,
+            Some(inner) => at.duration_since(inner.epoch).as_nanos() as u64,
             None => 0,
         }
     }
@@ -310,7 +313,8 @@ impl Tracer {
 
     /// Records an externally measured span (used by `PhaseTimer`, which
     /// owns the authoritative clock for phase walls): start time was
-    /// `start_ns` (as returned by [`Tracer::now_ns`]) and it lasted `dur`.
+    /// `start_ns` (as returned by [`Tracer::ns_since_epoch`]) and it lasted
+    /// `dur`.
     pub fn record_span(
         &self,
         name: &'static str,
@@ -530,7 +534,7 @@ mod tests {
         let data = t.drain();
         assert!(data.events.is_empty());
         assert!(data.tracks.is_empty());
-        assert_eq!(t.now_ns(), 0);
+        assert_eq!(t.ns_since_epoch(Instant::now()), 0);
         assert_eq!(t.span("y").finish(), Duration::ZERO);
     }
 
@@ -560,7 +564,7 @@ mod tests {
     #[test]
     fn instant_and_record_span_land_on_timeline() {
         let t = Tracer::ring(64);
-        let start = t.now_ns();
+        let start = t.ns_since_epoch(Instant::now());
         t.instant("gptune.test.fault").with("job", 3u64).emit();
         t.record_span(
             "gptune.test.phase",

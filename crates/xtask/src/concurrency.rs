@@ -8,15 +8,16 @@
 //!   graph over the named-lock registry, reported with every edge's
 //!   witness acquisition path.
 //! * **GX702** — guard held across a may-blocking call, *interprocedurally*:
-//!   the callee blocking three frames down is caught. Subsumes the lexical
-//!   GX301/GX302 shapes (which remain as fast per-file checks).
+//!   the callee blocking three frames down is caught. Any lock's guard
+//!   counts, registered or not.
 //! * **GX703** — double-acquire of a non-reentrant lock on any call path
 //!   (a self-loop in the lock graph).
 //! * **GX704** — a relaxed atomic op on a field that participates in a
 //!   release/acquire (or SeqCst) handshake elsewhere.
 //!
-//! Only locks in the [`LOCKS`] registry participate: cross-function
-//! analysis on name-matched locals would produce junk edges. Fn-scoped
+//! GX701 and GX703 only see locks in the [`LOCKS`] registry: lock
+//! identity across functions is matched by receiver name, so graph edges
+//! between unregistered locals would be junk. Fn-scoped
 //! allowlist entries (`fn = "dispatch"` in lint.toml) suppress individual
 //! findings with written rationale.
 
@@ -38,7 +39,8 @@ pub struct LockSpec {
 }
 
 /// The workspace lock registry. Receiver identifiers outside this table
-/// (`m.lock()` on a local) are ignored by the cross-function tier.
+/// (`m.lock()` on a local) stay out of the lock-order graph (GX701,
+/// GX703); GX702 counts their guards all the same.
 pub const LOCKS: &[LockSpec] = &[
     LockSpec {
         name: "sessions",
@@ -144,8 +146,7 @@ pub fn check(files: &[ParsedFile], cfg: &Config) -> Vec<Diagnostic> {
 /// acquisitions and from calls whose callees (transitively) acquire.
 pub fn build_lock_graph(ws: &Workspace) -> LockGraph {
     let mut graph = LockGraph::default();
-    for (i, f) in ws.fns.iter().enumerate() {
-        let _ = i;
+    for f in &ws.fns {
         for ev in &f.events {
             let held: Vec<&str> = ev
                 .held
@@ -243,7 +244,7 @@ fn check_gx702(ws: &Workspace, cfg: &Config, out: &mut Vec<Diagnostic>) {
                 .held
                 .iter()
                 .map(String::as_str)
-                .filter(|h| lock_spec(h).is_some_and(|s| !s.io_allowed))
+                .filter(|h| !lock_spec(h).is_some_and(|s| s.io_allowed))
                 .collect();
             if monitored.is_empty() {
                 continue;
@@ -469,13 +470,14 @@ pub fn explain(rule: &str) -> Option<&'static str> {
         "GX702" => {
             "GX702 — guard held across a may-blocking call (interprocedural).\n\
              Per-function summaries record whether each fn may block (socket/file\n\
-             I/O, channel recv, join, sleep) and which named locks it acquires;\n\
-             propagation over the workspace call graph means a callee that blocks\n\
-             three frames down is caught at the guard-holding frame. This\n\
-             generalizes the lexical GX301/GX302. Fix by cloning/taking what you\n\
-             need and dropping the guard before blocking; deliberate exceptions\n\
-             (journal-before-ack under the per-session entry lock) carry\n\
-             fn-scoped lint.toml allows with written rationale."
+             I/O, channel send/recv, join, sleep) and which named locks it\n\
+             acquires; propagation over the workspace call graph means a callee\n\
+             that blocks three frames down is caught at the guard-holding frame.\n\
+             A guard on any lock counts, registered or not; only the db advisory\n\
+             lock, whose purpose is to serialize file writes, is exempt. Fix by\n\
+             cloning/taking what you need and dropping the guard before blocking;\n\
+             deliberate exceptions (journal-before-ack under the per-session\n\
+             entry lock) carry fn-scoped lint.toml allows with written rationale."
         }
         "GX703" => {
             "GX703 — double-acquire of a non-reentrant lock.\n\
@@ -630,12 +632,13 @@ mod tests {
     }
 
     #[test]
-    fn unregistered_local_locks_are_ignored() {
+    fn unregistered_local_locks_count_for_gx702() {
         let diags = run(&[(
             "crates/runtime/src/a.rs",
             "fn f(m: &Mutex<u8>, s: &mut TcpStream) { let g = m.lock().unwrap(); s.read_exact(&mut [0u8; 1]).unwrap(); }\n",
         )]);
-        assert!(rule_lines(&diags, "GX702").is_empty(), "{diags:?}");
+        assert_eq!(rule_lines(&diags, "GX702"), vec![1], "{diags:?}");
+        assert!(rule_lines(&diags, "GX701").is_empty(), "{diags:?}");
     }
 
     #[test]

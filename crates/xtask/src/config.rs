@@ -11,7 +11,7 @@
 //!
 //! `rule` is a rule ID (`GX101`, …) or a tier glob (`GX4*`); `path` is a
 //! repo-relative path prefix; `reason` is mandatory — an allowlist entry
-//! without a reason is itself a lint error (GX291). The GX7xx/GX303
+//! without a reason fails the gate as a config error. The GX7xx/GX303
 //! concurrency rules additionally accept an optional `fn = "dispatch"`
 //! key scoping the entry to one function — path-wide suppression would
 //! hide future real bugs in the same file.
@@ -190,9 +190,8 @@ fn entry_matches(e: &AllowEntry, rule: &str, path: &str) -> bool {
     rule_ok && path.starts_with(e.path.as_str())
 }
 
-/// Validates one completed entry: every key but `fn` is mandatory
-/// (GX291's "allowlist entries must carry a reason" is enforced at parse
-/// time).
+/// Validates one completed entry: every key but `fn` is mandatory, so
+/// an entry without a reason is a parse error.
 fn finish(table: Table, cfg: &mut Config) -> Result<(), ConfigError> {
     let (kind, line, required) = match &table {
         Table::Allow(e) => (
@@ -236,7 +235,7 @@ mod tests {
         assert!(cfg.allowed("GX403", "crates/gp/src/lcm.rs").is_none());
         assert!(cfg.allowed("GX101", "crates/la/src/ord.rs").is_some());
         assert!(cfg.allowed("GX102", "crates/la/src/ord.rs").is_some());
-        assert!(cfg.allowed("GX201", "crates/la/src/ord.rs").is_none());
+        assert!(cfg.allowed("GX601", "crates/la/src/ord.rs").is_none());
     }
 
     #[test]

@@ -1,64 +1,25 @@
-//! Per-file analysis context shared by all rules: which lines are test
-//! code, which lines sit under an `#[allow(clippy::…)]` escape hatch, and
-//! where the comments are (for `// SAFETY:` / `// PANIC-SAFETY:`
-//! justification checks).
+//! Per-file analysis context shared by all rules: the token stream and
+//! which lines are test code.
 
-use crate::lexer::{Comment, Lexed, Tok, Token};
-
-/// Clippy lint names whose `#[allow(…)]` the suite recognises as escape
-/// hatches — and therefore requires a justification comment for.
-pub const MONITORED_ALLOWS: &[&str] = &[
-    "unwrap_used",
-    "expect_used",
-    "panic",
-    "unreachable",
-    "todo",
-    "unimplemented",
-    "indexing_slicing",
-];
-
-/// Marker prefixes accepted as justification comments next to an
-/// `#[allow]` attribute or an `unsafe` block.
-pub const JUSTIFICATION_MARKERS: &[&str] = &["PANIC-SAFETY:", "SAFETY:"];
-
-/// One `#[allow(clippy::…)]` attribute and the item lines it covers.
-#[derive(Debug)]
-pub struct AllowSpan {
-    /// Final path segments of the allowed lints (`unwrap_used`, `panic`, …),
-    /// filtered to [`MONITORED_ALLOWS`].
-    pub lints: Vec<String>,
-    /// Line of the attribute itself.
-    pub attr_line: u32,
-    /// Inclusive line range of the attribute plus the item it covers.
-    pub start: u32,
-    pub end: u32,
-    /// True when a justification comment sits on/adjacent to the attribute.
-    pub justified: bool,
-}
+use crate::lexer::{Tok, Token};
 
 /// Everything the rules need about one source file.
 pub struct FileCtx<'a> {
     /// Repo-relative path with forward slashes.
     pub path: &'a str,
     pub tokens: &'a [Token],
-    pub comments: &'a [Comment],
     /// Whole file is test/bench/example code (by directory convention).
     pub test_file: bool,
     test_spans: Vec<(u32, u32)>,
-    allow_spans: Vec<AllowSpan>,
 }
 
 impl<'a> FileCtx<'a> {
-    pub fn new(path: &'a str, lexed: &'a Lexed) -> FileCtx<'a> {
-        let test_file = is_test_path(path);
-        let (test_spans, allow_spans) = scan_spans(&lexed.tokens, &lexed.comments);
+    pub fn new(path: &'a str, tokens: &'a [Token]) -> FileCtx<'a> {
         FileCtx {
             path,
-            tokens: &lexed.tokens,
-            comments: &lexed.comments,
-            test_file,
-            test_spans,
-            allow_spans,
+            tokens,
+            test_file: is_test_path(path),
+            test_spans: test_spans(tokens),
         }
     }
 
@@ -77,47 +38,6 @@ impl<'a> FileCtx<'a> {
     pub fn in_test(&self, line: u32) -> bool {
         self.test_file || self.test_spans.iter().any(|&(a, b)| a <= line && line <= b)
     }
-
-    /// The allow span covering `line` for clippy lint `lint`, if any.
-    pub fn allow_for(&self, line: u32, lint: &str) -> Option<&AllowSpan> {
-        self.allow_spans
-            .iter()
-            .find(|s| s.start <= line && line <= s.end && s.lints.iter().any(|l| l == lint))
-    }
-
-    /// All allow spans (GX290 walks them to verify justifications).
-    pub fn allow_spans(&self) -> &[AllowSpan] {
-        &self.allow_spans
-    }
-
-    /// True when a comment containing one of [`JUSTIFICATION_MARKERS`]
-    /// touches the line window `[lo, hi]`, or appears anywhere in the
-    /// contiguous comment block ending directly above `lo` (a multi-line
-    /// justification puts the marker on its first line).
-    pub fn justification_near(&self, lo: u32, hi: u32) -> bool {
-        let has_marker = |c: &Comment| JUSTIFICATION_MARKERS.iter().any(|m| c.text.contains(m));
-        if self.comments.iter().any(|c| {
-            let c_end = c.line + c.lines_spanned() - 1;
-            c.line <= hi && c_end >= lo && has_marker(c)
-        }) {
-            return true;
-        }
-        let mut line = lo.saturating_sub(1);
-        while line > 0 {
-            let Some(c) = self
-                .comments
-                .iter()
-                .find(|c| c.line <= line && line < c.line + c.lines_spanned())
-            else {
-                break;
-            };
-            if has_marker(c) {
-                return true;
-            }
-            line = c.line.saturating_sub(1);
-        }
-        false
-    }
 }
 
 /// Directory conventions for whole-file test code.
@@ -131,12 +51,10 @@ fn is_test_path(path: &str) -> bool {
         || p.contains("/fixtures/")
 }
 
-/// Single pass over the token stream collecting `#[cfg(test)]` / `#[test]`
-/// item spans and `#[allow(clippy::…)]` spans.
-fn scan_spans(tokens: &[Token], comments: &[Comment]) -> (Vec<(u32, u32)>, Vec<AllowSpan>) {
-    let mut test_spans = Vec::new();
-    let mut allow_spans = Vec::new();
-    let last_line = tokens.last().map_or(1, |t| t.line);
+/// Single pass over the token stream collecting the line spans of
+/// `#[cfg(test)]` / `#[test]` items.
+fn test_spans(tokens: &[Token]) -> Vec<(u32, u32)> {
+    let mut spans = Vec::new();
     let mut i = 0usize;
     while i < tokens.len() {
         if !tokens[i].is_punct('#') {
@@ -144,24 +62,12 @@ fn scan_spans(tokens: &[Token], comments: &[Comment]) -> (Vec<(u32, u32)>, Vec<A
             continue;
         }
         // Inner attribute `#![…]`: applies to the enclosing scope, not the
-        // next item. A file-level `#![allow(clippy::…)]` covers the whole
-        // file; nothing else matters here (`#![cfg_attr(not(test), …)]`
-        // must NOT mark the following item as test code).
+        // next item (`#![cfg_attr(not(test), …)]` must NOT mark the
+        // following item as test code).
         if i + 1 < tokens.len() && tokens[i + 1].is_punct('!') {
             let Some(end) = match_delim(tokens, i + 2, '[', ']') else {
                 break;
             };
-            let lints = monitored_allow_lints(&tokens[i + 3..end]);
-            if !lints.is_empty() {
-                let attr_line = tokens[i].line;
-                allow_spans.push(AllowSpan {
-                    lints,
-                    attr_line,
-                    start: 1,
-                    end: last_line,
-                    justified: justification_window(comments, attr_line),
-                });
-            }
             i = end + 1;
             continue;
         }
@@ -173,13 +79,10 @@ fn scan_spans(tokens: &[Token], comments: &[Comment]) -> (Vec<(u32, u32)>, Vec<A
         // Accumulate across the run of outer attributes on one item, then
         // measure the item's extent once.
         let mut any_test = false;
-        let mut lints: Vec<String> = Vec::new();
-        let mut first_attr_line = tokens[i].line;
-        let mut attr_lines: Vec<u32> = Vec::new();
         let mut k = i;
         while k + 1 < tokens.len() && tokens[k].is_punct('#') && tokens[k + 1].is_punct('[') {
             let Some(e) = match_delim(tokens, k + 1, '[', ']') else {
-                return (test_spans, allow_spans);
+                return spans;
             };
             let attr = &tokens[k + 2..e];
             // `#[cfg(test)]` (or cfg(all/any containing test, un-negated))
@@ -189,100 +92,14 @@ fn scan_spans(tokens: &[Token], comments: &[Comment]) -> (Vec<(u32, u32)>, Vec<A
                 && attr.iter().any(|t| t.is_ident("test"))
                 && !attr.iter().any(|t| t.is_ident("not"));
             any_test |= attr.len() == 1 && attr[0].is_ident("test");
-            lints.extend(monitored_allow_lints(attr));
-            first_attr_line = first_attr_line.min(tokens[k].line);
-            attr_lines.push(tokens[k].line);
             k = e + 1;
         }
-
-        let item_end_line = item_extent(tokens, k);
         if any_test {
-            test_spans.push((first_attr_line, item_end_line));
-        }
-        if !lints.is_empty() {
-            let justified = attr_lines
-                .iter()
-                .any(|&l| justification_window(comments, l));
-            allow_spans.push(AllowSpan {
-                lints,
-                attr_line: first_attr_line,
-                start: first_attr_line,
-                end: item_end_line,
-                justified,
-            });
+            spans.push((tokens[i].line, item_extent(tokens, k)));
         }
         i = k.max(i + 1);
     }
-    (test_spans, allow_spans)
-}
-
-/// True when a justification comment touches lines `[attr_line-2,
-/// attr_line+1]` — directly above, on, or immediately below the attribute.
-fn justification_window(comments: &[Comment], attr_line: u32) -> bool {
-    // Accept a marker anywhere in the contiguous comment block that ends
-    // directly above the attribute (multi-line justifications push the
-    // marker several lines up), or on the attribute's own line / the line
-    // below (trailing-comment style).
-    let has_marker = |c: &Comment| JUSTIFICATION_MARKERS.iter().any(|m| c.text.contains(m));
-    let covers = |c: &Comment, line: u32| {
-        let c_end = c.line + c.lines_spanned() - 1;
-        c.line <= line && line <= c_end
-    };
-    if comments
-        .iter()
-        .any(|c| (covers(c, attr_line) || covers(c, attr_line + 1)) && has_marker(c))
-    {
-        return true;
-    }
-    let mut line = attr_line.saturating_sub(1);
-    while line > 0 {
-        let Some(c) = comments.iter().find(|c| covers(c, line)) else {
-            break;
-        };
-        if has_marker(c) {
-            return true;
-        }
-        line = c.line.saturating_sub(1);
-    }
-    false
-}
-
-/// Final path segments of `allow(...)` lint lists inside one attribute's
-/// tokens, filtered to the monitored set. Handles both `#[allow(…)]` and
-/// `#[cfg_attr(cond, allow(…))]`.
-fn monitored_allow_lints(attr: &[Token]) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut i = 0usize;
-    while i < attr.len() {
-        if attr[i].is_ident("allow") && i + 1 < attr.len() && attr[i + 1].is_punct('(') {
-            if let Some(end) = match_delim(attr, i + 1, '(', ')') {
-                // Lint paths separated by commas; keep each path's last
-                // identifier segment.
-                let mut last: Option<&str> = None;
-                for t in &attr[i + 2..end] {
-                    match &t.kind {
-                        Tok::Ident(s) => last = Some(s),
-                        Tok::Punct(',') => {
-                            if let Some(l) = last.take() {
-                                if MONITORED_ALLOWS.contains(&l) {
-                                    out.push(l.to_string());
-                                }
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-                if let Some(l) = last {
-                    if MONITORED_ALLOWS.contains(&l) {
-                        out.push(l.to_string());
-                    }
-                }
-                i = end;
-            }
-        }
-        i += 1;
-    }
-    out
+    spans
 }
 
 /// Index of the closing delimiter matching `tokens[open]` (which must be
@@ -353,33 +170,6 @@ mod tests {
         let ctx = FileCtx::new("crates/la/src/x.rs", &lexed);
         assert!(ctx.in_test(3));
         assert!(!ctx.in_test(5));
-    }
-
-    #[test]
-    fn allow_span_with_justification() {
-        let src = "// PANIC-SAFETY: spawn failure is unrecoverable at startup.\n#[allow(clippy::expect_used)]\nfn f() {\n  g().expect(\"x\");\n}\n";
-        let lexed = lex(src);
-        let ctx = FileCtx::new("crates/runtime/src/x.rs", &lexed);
-        let span = ctx.allow_for(4, "expect_used").expect("span covers body");
-        assert!(span.justified);
-        assert!(ctx.allow_for(4, "unwrap_used").is_none());
-    }
-
-    #[test]
-    fn allow_span_without_justification() {
-        let src = "#[allow(clippy::unwrap_used)]\nfn f() {\n  g().unwrap();\n}\n";
-        let lexed = lex(src);
-        let ctx = FileCtx::new("crates/db/src/x.rs", &lexed);
-        let span = ctx.allow_for(3, "unwrap_used").expect("span covers body");
-        assert!(!span.justified);
-    }
-
-    #[test]
-    fn unmonitored_allow_is_ignored() {
-        let src = "#[allow(dead_code)]\nfn f() {}\n";
-        let lexed = lex(src);
-        let ctx = FileCtx::new("crates/db/src/x.rs", &lexed);
-        assert!(ctx.allow_spans().is_empty());
     }
 
     #[test]

@@ -2,11 +2,10 @@
 //!
 //! The engine needs token streams with line numbers, with comments and
 //! string/char contents *excluded* from the significant-token stream (so
-//! a `"partial_cmp"` inside a string literal never trips a rule) but with
-//! comments *retained* on the side (so `// SAFETY:` justifications can be
-//! verified). A full AST is deliberately out of scope: the rules are
-//! pattern checks over token shapes, which a hand-rolled lexer covers
-//! without pulling `syn`/`proc-macro2` into an otherwise offline build.
+//! a `"partial_cmp"` inside a string literal never trips a rule). A full
+//! AST is deliberately out of scope: the rules are pattern checks over
+//! token shapes, which a hand-rolled lexer covers without pulling
+//! `syn`/`proc-macro2` into an otherwise offline build.
 //!
 //! Handled: line/doc comments, nested block comments, cooked and raw
 //! string literals (`r"…"`, `r#"…"#`, `b"…"`, `br#"…"#`, `c"…"`),
@@ -69,37 +68,15 @@ impl Token {
     }
 }
 
-/// A comment with its starting line. Block comments keep interior
-/// newlines, so `lines_spanned` reports their full extent.
-#[derive(Debug, Clone)]
-pub struct Comment {
-    pub line: u32,
-    pub text: String,
-}
-
-impl Comment {
-    /// Number of source lines the comment covers (1 for line comments).
-    pub fn lines_spanned(&self) -> u32 {
-        1 + self.text.bytes().filter(|&b| b == b'\n').count() as u32
-    }
-}
-
-/// Tokenizer output: significant tokens plus side-channel comments.
-#[derive(Debug, Default)]
-pub struct Lexed {
-    pub tokens: Vec<Token>,
-    pub comments: Vec<Comment>,
-}
-
 /// Tokenizes `src`. Unterminated constructs (mid-edit files) are closed
 /// at end of input rather than reported — the lint gate runs on committed
 /// code, where rustc has already rejected malformed syntax.
-pub fn lex(src: &str) -> Lexed {
+pub fn lex(src: &str) -> Vec<Token> {
     Lexer {
         src: src.as_bytes(),
         pos: 0,
         line: 1,
-        out: Lexed::default(),
+        out: Vec::new(),
     }
     .run()
 }
@@ -108,7 +85,7 @@ struct Lexer<'a> {
     src: &'a [u8],
     pos: usize,
     line: u32,
-    out: Lexed,
+    out: Vec<Token>,
 }
 
 impl<'a> Lexer<'a> {
@@ -127,10 +104,10 @@ impl<'a> Lexer<'a> {
     }
 
     fn push(&mut self, kind: Tok, line: u32) {
-        self.out.tokens.push(Token { kind, line });
+        self.out.push(Token { kind, line });
     }
 
-    fn run(mut self) -> Lexed {
+    fn run(mut self) -> Vec<Token> {
         while let Some(b) = self.peek(0) {
             let line = self.line;
             match b {
@@ -155,21 +132,12 @@ impl<'a> Lexer<'a> {
     }
 
     fn line_comment(&mut self) {
-        let line = self.line;
-        let start = self.pos;
-        while let Some(b) = self.peek(0) {
-            if b == b'\n' {
-                break;
-            }
+        while self.peek(0).is_some_and(|b| b != b'\n') {
             self.bump();
         }
-        let text = String::from_utf8_lossy(&self.src[start..self.pos]).into_owned();
-        self.out.comments.push(Comment { line, text });
     }
 
     fn block_comment(&mut self) {
-        let line = self.line;
-        let start = self.pos;
         self.bump();
         self.bump(); // consume `/*`
         let mut depth = 1usize;
@@ -191,8 +159,6 @@ impl<'a> Lexer<'a> {
                 (None, _) => break,
             }
         }
-        let text = String::from_utf8_lossy(&self.src[start..self.pos]).into_owned();
-        self.out.comments.push(Comment { line, text });
     }
 
     /// A cooked (escaped) string body, starting at the opening quote. The
@@ -409,7 +375,7 @@ mod tests {
     use super::*;
 
     fn kinds(src: &str) -> Vec<Tok> {
-        lex(src).tokens.into_iter().map(|t| t.kind).collect()
+        lex(src).into_iter().map(|t| t.kind).collect()
     }
 
     #[test]
@@ -496,14 +462,11 @@ mod tests {
     }
 
     #[test]
-    fn comments_are_side_channel() {
-        let out = lex("a // SAFETY: fine\nb /* block\nstill */ c");
-        let idents: Vec<_> = out.tokens.iter().filter_map(|t| t.ident()).collect();
+    fn comments_are_skipped() {
+        let out = lex("a // unwrap()\nb /* block\nstill */ c");
+        let idents: Vec<_> = out.iter().filter_map(|t| t.ident()).collect();
         assert_eq!(idents, vec!["a", "b", "c"]);
-        assert_eq!(out.comments.len(), 2);
-        assert!(out.comments[0].text.contains("SAFETY"));
-        assert_eq!(out.comments[1].lines_spanned(), 2);
-        assert_eq!(out.tokens[2].line, 3, "token after block comment");
+        assert_eq!(out[2].line, 3, "token after block comment");
     }
 
     #[test]
@@ -522,7 +485,7 @@ mod tests {
     #[test]
     fn line_numbers() {
         let out = lex("a\nb\n\nc");
-        let lines: Vec<_> = out.tokens.iter().map(|t| t.line).collect();
+        let lines: Vec<_> = out.iter().map(|t| t.line).collect();
         assert_eq!(lines, vec![1, 2, 4]);
     }
 }

@@ -6,15 +6,13 @@
 //! * **NaN-safety** (GX101–GX103): surrogate fitting must never feed
 //!   NaN/inf into the Cholesky, so float comparisons and sorts must be
 //!   total (`f64::total_cmp`, `gptune_la::ord`).
-//! * **Panic-freedom tiers** (GX201–GX204, GX290): a dead measurement must
-//!   never kill the tuner — the runtime, the db, and the core evaluation
-//!   path stay `unwrap`/`panic!`-free outside explicitly justified escapes.
-//! * **Lock discipline** (GX301): no lock guard held across a channel op
-//!   or join — the master/worker executor's one deadlock shape.
+//! * **Socket deadlines** (GX303): every serve-side socket is
+//!   deadline-armed before it can block.
 //! * **Determinism** (GX402–GX403): checkpoint/resume replays to identical
 //!   results only if every random draw is seed-threaded through
 //!   `MlaOptions` and no recorded output depends on hash-map order.
-//! * **Unsafe hygiene** (GX501): every `unsafe` carries a `// SAFETY:`.
+//! * **Observability** (GX601–GX602): phase timing goes through the
+//!   tracer, and every span/metric name is a taxonomy literal.
 //! * **Concurrency** (GX701–GX704): whole-workspace lock-order graph,
 //!   interprocedural guard-across-blocking detection, double-acquire
 //!   paths, and relaxed-atomic handshake mismatches — built on per-fn
@@ -23,6 +21,11 @@
 //! * **Dependencies** (GX801): every non-path dependency in the workspace
 //!   manifests is named in lint.toml's `[[dependency]]` allowlist, so a
 //!   registry crate cannot come in unreviewed (see `deps`).
+//!
+//! Panic-freedom of the runtime, the db and core (a dead measurement must
+//! never kill the tuner) and the ban on `unsafe` are left to clippy and
+//! rustc, which check them with types: see the `deny` lists in those
+//! crate roots and the workspace `[lints]` table.
 //!
 //! Run it as `cargo run -p gptune-xtask -- lint` (wired into `tier1.sh`);
 //! see `lint.toml` at the workspace root for the allowlist format and

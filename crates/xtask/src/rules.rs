@@ -5,18 +5,21 @@
 //! | tier | IDs   | invariant |
 //! |------|-------|-----------|
 //! | 1    | GX101–GX103 | NaN-safety: no IEEE `==`/`!=`, no `partial_cmp` escapes into ordering |
-//! | 2    | GX201–GX204, GX290 | panic-freedom in the runtime / db / core evaluation path |
-//! | 3    | GX301–GX303 | lock & socket discipline: no guard held across channel ops or joins; no blocking I/O under the serve session-table lock; every serve-side socket deadline-armed |
+//! | 3    | GX303 | socket discipline: every serve-side socket deadline-armed — implemented in [`crate::concurrency`] |
 //! | 4    | GX402–GX403 | determinism: every random draw and iteration order is seed-threaded |
-//! | 5    | GX501 | unsafe hygiene: every `unsafe` carries a `// SAFETY:` justification |
 //! | 6    | GX601–GX602 | observability: no raw `Instant::now()` in the traced crates; every span/metric name a literal in the `gptune.<crate>.<name>` taxonomy |
 //! | 7    | GX701–GX704 | workspace concurrency: lock-order inversions, guards across blocking calls (interprocedural), double-acquires, relaxed-atomic handshakes — implemented in [`crate::concurrency`] |
+//! | 8    | GX801 | dependencies: every registry crate named in lint.toml — implemented in [`crate::deps`] |
 //!
-//! Every rule is a pattern walk over the token stream of [`crate::lexer`]
-//! — deliberately type-blind, so each check documents the (small) set of
-//! shapes it matches. False positives are handled by the `lint.toml`
-//! allowlist or, for the panic tier, by `#[allow(clippy::…)]` plus a
-//! `// PANIC-SAFETY:` justification comment (verified by GX290).
+//! Panic-freedom (runtime, db, core) and the ban on `unsafe` are not
+//! here: clippy's `unwrap_used`/`panic`/… lints and rustc's `unsafe_code`
+//! check them with types (see the crate roots and the workspace
+//! `[lints]` table).
+//!
+//! Every rule here is a pattern walk over the token stream of
+//! [`crate::lexer`] — deliberately type-blind, so each check documents the
+//! (small) set of shapes it matches. False positives are handled by the
+//! `lint.toml` allowlist.
 
 use crate::config::Config;
 use crate::context::{match_delim, FileCtx};
@@ -66,41 +69,6 @@ pub const RULES: &[RuleInfo] = &[
         desc: "no raw `partial_cmp` comparators in sort_by/min_by/max_by (NaN mis-sorts); use total_cmp",
     },
     RuleInfo {
-        id: "GX201",
-        name: "unwrap",
-        desc: "no `.unwrap()` in panic-free tiers (runtime, db, core evaluation path)",
-    },
-    RuleInfo {
-        id: "GX202",
-        name: "expect",
-        desc: "no `.expect(..)` in panic-free tiers without an #[allow] + justification",
-    },
-    RuleInfo {
-        id: "GX203",
-        name: "panic-macro",
-        desc: "no panic!/unreachable!/todo!/unimplemented! in panic-free tiers",
-    },
-    RuleInfo {
-        id: "GX204",
-        name: "index-without-get",
-        desc: "no `x[i]` indexing in strict panic-free crates (runtime, db); use .get()",
-    },
-    RuleInfo {
-        id: "GX290",
-        name: "allow-without-justification",
-        desc: "#[allow(clippy::unwrap_used/…)] escapes need an adjacent `// PANIC-SAFETY:` comment",
-    },
-    RuleInfo {
-        id: "GX301",
-        name: "lock-across-channel",
-        desc: "no Mutex/RwLock guard held across channel send/recv or thread join (deadlock shape)",
-    },
-    RuleInfo {
-        id: "GX302",
-        name: "serve-lock-io",
-        desc: "crates/serve: no blocking I/O while the session-table lock is held; clone the session Arc, drop the guard, then do the work",
-    },
-    RuleInfo {
         id: "GX303",
         name: "serve-socket-deadline",
         desc: "crates/serve: every socket from accept()/connect() must reach a deadline-arming call (set_read_timeout/set_write_timeout/arm_deadlines, possibly via a helper) before any other may-blocking operation",
@@ -114,11 +82,6 @@ pub const RULES: &[RuleInfo] = &[
         id: "GX403",
         name: "hashmap-iteration",
         desc: "no iteration over HashMap/HashSet locals (nondeterministic order); use BTreeMap or sort",
-    },
-    RuleInfo {
-        id: "GX501",
-        name: "unsafe-without-safety-comment",
-        desc: "every `unsafe` needs an adjacent `// SAFETY:` comment",
     },
     RuleInfo {
         id: "GX601",
@@ -138,7 +101,7 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "GX702",
         name: "guard-across-blocking-call",
-        desc: "no registry-lock guard held across a may-blocking call, interprocedurally — a callee blocking frames down the call graph counts",
+        desc: "no lock guard held across a may-blocking call, interprocedurally — a callee blocking frames down the call graph counts",
     },
     RuleInfo {
         id: "GX703",
@@ -157,23 +120,6 @@ pub const RULES: &[RuleInfo] = &[
     },
 ];
 
-/// Crates under the strict panic-freedom tier: unwrap/expect/panic macros
-/// *and* bare indexing are violations.
-const PANIC_FREE_STRICT_CRATES: &[&str] = &["runtime", "db"];
-
-/// Core evaluation-path files under the panic-freedom tier (indexing is
-/// exempt there — the numeric kernels index hot loops by design).
-const PANIC_FREE_FILES: &[&str] = &[
-    "crates/core/src/mla.rs",
-    "crates/core/src/mla_mo.rs",
-    "crates/core/src/tla.rs",
-    "crates/core/src/db_bridge.rs",
-];
-
-/// Crates exempt from the panic tier entirely: the lint tool itself (a
-/// dev-side binary whose failure mode is a failed gate, not a lost run).
-const DEV_TOOL_CRATES: &[&str] = &["xtask", "bench"];
-
 /// Runs every rule over one file.
 pub fn check_file(ctx: &FileCtx<'_>, cfg: &Config) -> Vec<Diagnostic> {
     let mut out = Vec::new();
@@ -190,12 +136,7 @@ pub fn check_file(ctx: &FileCtx<'_>, cfg: &Config) -> Vec<Diagnostic> {
 
     float_eq(ctx, &mut |l, r, m, o: &mut _| push(l, r, m, o), &mut out);
     partial_cmp(ctx, &mut |l, r, m, o: &mut _| push(l, r, m, o), &mut out);
-    panic_tier(ctx, &mut |l, r, m, o: &mut _| push(l, r, m, o), &mut out);
-    allow_justifications(ctx, &mut |l, r, m, o: &mut _| push(l, r, m, o), &mut out);
-    lock_discipline(ctx, &mut |l, r, m, o: &mut _| push(l, r, m, o), &mut out);
-    serve_lock_io(ctx, &mut |l, r, m, o: &mut _| push(l, r, m, o), &mut out);
     determinism(ctx, &mut |l, r, m, o: &mut _| push(l, r, m, o), &mut out);
-    unsafe_hygiene(ctx, &mut |l, r, m, o: &mut _| push(l, r, m, o), &mut out);
     raw_timing(ctx, &mut |l, r, m, o: &mut _| push(l, r, m, o), &mut out);
     metric_name_taxonomy(ctx, &mut |l, r, m, o: &mut _| push(l, r, m, o), &mut out);
     out
@@ -331,409 +272,6 @@ fn partial_cmp(ctx: &FileCtx<'_>, emit: &mut Emit<'_>, out: &mut Vec<Diagnostic>
     }
 }
 
-// ---------------------------------------------------------------- tier 2
-
-/// Which panic-tier rules apply to this file.
-fn panic_scope(ctx: &FileCtx<'_>) -> (bool, bool) {
-    let krate = ctx.crate_name();
-    if DEV_TOOL_CRATES.contains(&krate) {
-        return (false, false);
-    }
-    let strict = PANIC_FREE_STRICT_CRATES.contains(&krate);
-    let eval_path = PANIC_FREE_FILES.contains(&ctx.path);
-    (strict || eval_path, strict)
-}
-
-/// GX201/GX202/GX203/GX204 over the panic-free tiers.
-fn panic_tier(ctx: &FileCtx<'_>, emit: &mut Emit<'_>, out: &mut Vec<Diagnostic>) {
-    let (no_panic, strict) = panic_scope(ctx);
-    if !no_panic {
-        return;
-    }
-    let t = ctx.tokens;
-    for (i, tok) in t.iter().enumerate() {
-        let line = tok.line;
-        if ctx.in_test(line) {
-            continue;
-        }
-        match &tok.kind {
-            Tok::Ident(s) if s == "unwrap" => {
-                let is_call = i > 0
-                    && t[i - 1].is_punct('.')
-                    && t.get(i + 1).is_some_and(|x| x.is_punct('('))
-                    && t.get(i + 2).is_some_and(|x| x.is_punct(')'));
-                if is_call && ctx.allow_for(line, "unwrap_used").is_none() {
-                    emit(
-                        line,
-                        "GX201",
-                        ".unwrap() in a panic-free tier; handle the None/Err or add #[allow(clippy::unwrap_used)] + // PANIC-SAFETY".to_string(),
-                        out,
-                    );
-                }
-            }
-            Tok::Ident(s) if s == "expect" => {
-                let is_call = i > 0
-                    && t[i - 1].is_punct('.')
-                    && t.get(i + 1).is_some_and(|x| x.is_punct('('));
-                if is_call && ctx.allow_for(line, "expect_used").is_none() {
-                    emit(
-                        line,
-                        "GX202",
-                        ".expect() in a panic-free tier; handle the error or add #[allow(clippy::expect_used)] + // PANIC-SAFETY".to_string(),
-                        out,
-                    );
-                }
-            }
-            Tok::Ident(s)
-                if matches!(
-                    s.as_str(),
-                    "panic" | "unreachable" | "todo" | "unimplemented"
-                ) =>
-            {
-                let is_macro = t.get(i + 1).is_some_and(|x| x.is_punct('!'));
-                let lint: &str = match s.as_str() {
-                    "panic" => "panic",
-                    "unreachable" => "unreachable",
-                    "todo" => "todo",
-                    _ => "unimplemented",
-                };
-                if is_macro && ctx.allow_for(line, lint).is_none() {
-                    emit(
-                        line,
-                        "GX203",
-                        format!("{s}! in a panic-free tier; return an error or add #[allow(clippy::{lint})] + // PANIC-SAFETY"),
-                        out,
-                    );
-                }
-            }
-            Tok::Punct('[')
-                if strict
-                    && i > 0
-                    && is_index_base(&t[i - 1])
-                    && ctx.allow_for(line, "indexing_slicing").is_none() =>
-            {
-                emit(
-                        line,
-                        "GX204",
-                        "bare indexing in a strict panic-free crate; use .get()/.get_mut() or add #[allow(clippy::indexing_slicing)] + // PANIC-SAFETY".to_string(),
-                        out,
-                    );
-            }
-            _ => {}
-        }
-    }
-}
-
-/// The token before `[` that makes it an *index* expression (rather than
-/// an array literal, attribute, or slice type).
-fn is_index_base(prev: &Token) -> bool {
-    match &prev.kind {
-        Tok::Punct(')') | Tok::Punct(']') | Tok::Punct('?') => true,
-        Tok::Ident(s) => !matches!(
-            s.as_str(),
-            // Keywords that can directly precede an array-literal or
-            // slice-pattern bracket.
-            "mut"
-                | "in"
-                | "dyn"
-                | "ref"
-                | "move"
-                | "return"
-                | "break"
-                | "as"
-                | "else"
-                | "match"
-                | "if"
-                | "while"
-                | "loop"
-                | "for"
-                | "let"
-                | "const"
-                | "static"
-                | "use"
-                | "pub"
-                | "where"
-                | "impl"
-                | "fn"
-                | "box"
-                | "await"
-                | "yield"
-        ),
-        _ => false,
-    }
-}
-
-/// GX290: every `#[allow(clippy::<monitored>)]` must be justified.
-fn allow_justifications(ctx: &FileCtx<'_>, emit: &mut Emit<'_>, out: &mut Vec<Diagnostic>) {
-    for span in ctx.allow_spans() {
-        if !span.justified && !ctx.in_test(span.attr_line) {
-            emit(
-                span.attr_line,
-                "GX290",
-                format!(
-                    "#[allow(clippy::{})] without an adjacent `// PANIC-SAFETY:` justification comment",
-                    span.lints.join(", clippy::")
-                ),
-                out,
-            );
-        }
-    }
-}
-
-// ---------------------------------------------------------------- tier 3
-
-/// GX301: a `let`-bound lock guard (binding whose initializer *ends* in
-/// `.lock()` / `.read()` / `.write()`, optionally `.unwrap()`/`.expect()`/
-/// `?`) that is still live when a channel `send`/`recv`/`recv_timeout` or
-/// a `join()` executes. Guards die at `drop(name)` or when their block
-/// closes. This is exactly the executor's deadlock shape: the master
-/// blocking on a channel while holding a lock a worker needs.
-fn lock_discipline(ctx: &FileCtx<'_>, emit: &mut Emit<'_>, out: &mut Vec<Diagnostic>) {
-    let t = ctx.tokens;
-    let mut depth: i32 = 0;
-    // (guard name, brace depth at binding, line bound)
-    let mut guards: Vec<(String, i32, u32)> = Vec::new();
-    let mut i = 0usize;
-    while i < t.len() {
-        match &t[i].kind {
-            Tok::Punct('{') => depth += 1,
-            Tok::Punct('}') => {
-                depth -= 1;
-                guards.retain(|&(_, d, _)| d <= depth);
-            }
-            Tok::Ident(s) if s == "let" => {
-                if let Some((name, stmt_end)) = guard_binding(t, i) {
-                    guards.push((name, depth, t[i].line));
-                    i = stmt_end;
-                    continue;
-                }
-            }
-            Tok::Ident(s)
-                if s == "drop"
-                // drop(name) / mem::drop(name)
-                && t.get(i + 1).is_some_and(|x| x.is_punct('(')) =>
-            {
-                if let Some(name) = t.get(i + 2).and_then(|x| x.ident()) {
-                    if t.get(i + 3).is_some_and(|x| x.is_punct(')')) {
-                        guards.retain(|(g, _, _)| g != name);
-                    }
-                }
-            }
-            Tok::Ident(s) if matches!(s.as_str(), "send" | "recv" | "recv_timeout" | "join") => {
-                let line = t[i].line;
-                let method = i > 0 && t[i - 1].is_punct('.');
-                // `.join()` only with empty args: JoinHandle::join takes
-                // none, while Path::join / slice::join take one.
-                let args_ok = if s == "join" {
-                    t.get(i + 1).is_some_and(|x| x.is_punct('('))
-                        && t.get(i + 2).is_some_and(|x| x.is_punct(')'))
-                } else {
-                    t.get(i + 1).is_some_and(|x| x.is_punct('('))
-                };
-                if method && args_ok && !ctx.in_test(line) {
-                    if let Some((g, _, bound)) = guards.first() {
-                        emit(
-                            line,
-                            "GX301",
-                            format!(
-                                "channel/join op while lock guard `{g}` (bound line {bound}) is live; \
-                                 drop the guard first or clone the endpoint out of the lock"
-                            ),
-                            out,
-                        );
-                    }
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-}
-
-/// If the `let` statement starting at token `li` binds a lock guard,
-/// returns `(name, index of the terminating ';')`.
-fn guard_binding(t: &[Token], li: usize) -> Option<(String, usize)> {
-    let mut k = li + 1;
-    if t.get(k).is_some_and(|x| x.is_ident("mut")) {
-        k += 1;
-    }
-    let name = t.get(k)?.ident()?.to_string();
-    if name == "_" {
-        // `let _ = …` drops immediately — not a live guard. (`let _g` is.)
-        return None;
-    }
-    // Find `=` then the terminating `;` at statement nesting level.
-    let mut j = k + 1;
-    let mut eq = None;
-    let (mut p, mut b, mut c) = (0i32, 0i32, 0i32);
-    while j < t.len() {
-        match t[j].kind {
-            Tok::Punct('(') => p += 1,
-            Tok::Punct(')') => p -= 1,
-            Tok::Punct('[') => b += 1,
-            Tok::Punct(']') => b -= 1,
-            Tok::Punct('{') => c += 1,
-            Tok::Punct('}') => c -= 1,
-            Tok::Punct('=') if p == 0 && b == 0 && c == 0 && eq.is_none() => {
-                // Skip `==`, `=>`, `<=`… (only plain `=` starts the init).
-                let next_eq = t
-                    .get(j + 1)
-                    .is_some_and(|x| x.is_punct('=') || x.is_punct('>'));
-                let prev_op =
-                    matches!(t[j - 1].kind, Tok::Punct(ch) if "+-*/%^&|<>!=".contains(ch));
-                if !next_eq && !prev_op {
-                    eq = Some(j);
-                }
-            }
-            Tok::Punct(';') if p == 0 && b == 0 && c == 0 => {
-                let eq = eq?;
-                let init = &t[eq + 1..j];
-                return if init_is_guard(init) {
-                    Some((name, j))
-                } else {
-                    None
-                };
-            }
-            _ => {}
-        }
-        j += 1;
-    }
-    None
-}
-
-/// Does an initializer token sequence end in a lock acquisition?
-fn init_is_guard(init: &[Token]) -> bool {
-    // Strip a trailing `?`, `.unwrap()`, `.expect(..)`, or
-    // `.unwrap_or_else(..)` (std's poison takeover keeps the guard).
-    let mut end = init.len();
-    if end > 0 && init[end - 1].is_punct('?') {
-        end -= 1;
-    }
-    if end >= 4
-        && init[end - 1].is_punct(')')
-        && matches!(init[end - 3].ident(), Some("unwrap"))
-        && init[end - 2].is_punct('(')
-        && init[end - 4].is_punct('.')
-    {
-        end -= 4;
-    } else if end > 0 && init[end - 1].is_punct(')') {
-        // `.expect("msg")`: scan back over one balanced paren group.
-        let mut depth = 0i32;
-        let mut k = end;
-        while k > 0 {
-            k -= 1;
-            match init[k].kind {
-                Tok::Punct(')') => depth += 1,
-                Tok::Punct('(') => {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                _ => {}
-            }
-        }
-        if k >= 2
-            && matches!(init[k - 1].ident(), Some("expect" | "unwrap_or_else"))
-            && init[k - 2].is_punct('.')
-        {
-            end = k - 2;
-        }
-    }
-    // Now the tail must be `.lock()` / `.read()` / `.write()`.
-    end >= 4
-        && init[end - 1].is_punct(')')
-        && init[end - 2].is_punct('(')
-        && matches!(init[end - 3].ident(), Some("lock" | "read" | "write"))
-        && init[end - 4].is_punct('.')
-}
-
-/// Blocking I/O calls that must never run under the serve session-table
-/// lock: socket reads/writes, frame codecs, and connection management.
-const SERVE_BLOCKING_IO: &[&str] = &[
-    "read_frame",
-    "write_frame",
-    "read_json",
-    "write_json",
-    "read_exact",
-    "read_to_end",
-    "write_all",
-    "flush",
-    "accept",
-    "connect",
-    "shutdown",
-];
-
-/// GX302: in `crates/serve`, no blocking I/O while the session-*table*
-/// lock is live. A table guard is a `let` binding whose initializer ends
-/// in a lock acquisition *and* mentions `sessions` (the table field);
-/// per-session mutexes are exempt — they serialize one tenant's work,
-/// which legitimately spans surrogate refits, while the table lock is a
-/// global chokepoint every request crosses. The blessed pattern: lock the
-/// table, clone the session `Arc`, drop the guard, then do the work.
-fn serve_lock_io(ctx: &FileCtx<'_>, emit: &mut Emit<'_>, out: &mut Vec<Diagnostic>) {
-    if !ctx.path.starts_with("crates/serve/") {
-        return;
-    }
-    let t = ctx.tokens;
-    let mut depth: i32 = 0;
-    // (guard name, brace depth at binding, line bound)
-    let mut guards: Vec<(String, i32, u32)> = Vec::new();
-    let mut i = 0usize;
-    while i < t.len() {
-        match &t[i].kind {
-            Tok::Punct('{') => depth += 1,
-            Tok::Punct('}') => {
-                depth -= 1;
-                guards.retain(|&(_, d, _)| d <= depth);
-            }
-            Tok::Ident(s) if s == "let" => {
-                if let Some((name, stmt_end)) = guard_binding(t, i) {
-                    let on_table = t[i..=stmt_end]
-                        .iter()
-                        .any(|x| x.ident().is_some_and(|id| id == "sessions"));
-                    if on_table {
-                        guards.push((name, depth, t[i].line));
-                    }
-                    i = stmt_end;
-                    continue;
-                }
-            }
-            Tok::Ident(s) if s == "drop" && t.get(i + 1).is_some_and(|x| x.is_punct('(')) => {
-                if let Some(name) = t.get(i + 2).and_then(|x| x.ident()) {
-                    if t.get(i + 3).is_some_and(|x| x.is_punct(')')) {
-                        guards.retain(|(g, _, _)| g != name);
-                    }
-                }
-            }
-            Tok::Ident(s) if SERVE_BLOCKING_IO.contains(&s.as_str()) => {
-                let line = t[i].line;
-                let is_call = t.get(i + 1).is_some_and(|x| x.is_punct('('));
-                if is_call && !ctx.in_test(line) {
-                    if let Some((g, _, bound)) = guards.first() {
-                        emit(
-                            line,
-                            "GX302",
-                            format!(
-                                "blocking I/O `{s}` while session-table guard `{g}` (bound line \
-                                 {bound}) is live; clone the session Arc and drop the table lock \
-                                 before any I/O"
-                            ),
-                            out,
-                        );
-                    }
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-}
-
-// GX303 (serve-socket-deadline) lives in `crate::concurrency`: the old
-// "armed within 12 lines" lexical heuristic was replaced by the
-// summary-based check over parsed fn bodies.
-
 // ---------------------------------------------------------------- tier 4
 
 /// GX402/GX403: nondeterminism sources. (Ambient entropy needs no rule:
@@ -867,26 +405,6 @@ fn determinism(ctx: &FileCtx<'_>, emit: &mut Emit<'_>, out: &mut Vec<Diagnostic>
                         out,
                     );
                 }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------- tier 5
-
-/// GX501: `unsafe` (block, fn, impl, trait) without a `// SAFETY:` comment
-/// on the same line or within the three lines above.
-fn unsafe_hygiene(ctx: &FileCtx<'_>, emit: &mut Emit<'_>, out: &mut Vec<Diagnostic>) {
-    for tok in ctx.tokens {
-        if tok.is_ident("unsafe") {
-            let line = tok.line;
-            if !ctx.justification_near(line.saturating_sub(3), line) {
-                emit(
-                    line,
-                    "GX501",
-                    "`unsafe` without an adjacent `// SAFETY:` comment".to_string(),
-                    out,
-                );
             }
         }
     }
@@ -1088,124 +606,6 @@ mod tests {
     }
 
     #[test]
-    fn gx201_unwrap_scoped() {
-        let src = "fn f(x: Option<u32>) -> u32 { x.unwrap() }";
-        assert_eq!(rules_hit("crates/db/src/x.rs", src), vec!["GX201"]);
-        assert_eq!(rules_hit("crates/runtime/src/x.rs", src), vec!["GX201"]);
-        assert_eq!(rules_hit("crates/core/src/mla.rs", src), vec!["GX201"]);
-        // Out-of-tier crates and test code are exempt.
-        assert!(rules_hit("crates/opt/src/x.rs", src).is_empty());
-        assert!(rules_hit("crates/db/tests/x.rs", src).is_empty());
-        // unwrap_or is not unwrap.
-        assert!(rules_hit(
-            "crates/db/src/x.rs",
-            "fn f(x: Option<u32>) -> u32 { x.unwrap_or(0) }"
-        )
-        .is_empty());
-    }
-
-    #[test]
-    fn gx202_expect_with_allow() {
-        let bad = "fn f(x: Option<u32>) -> u32 { x.expect(\"invariant\") }";
-        assert_eq!(rules_hit("crates/db/src/x.rs", bad), vec!["GX202"]);
-        // A justified allow silences GX202 and GX290.
-        let ok = "// PANIC-SAFETY: checked by construction two lines up.\n#[allow(clippy::expect_used)]\nfn f(x: Option<u32>) -> u32 { x.expect(\"invariant\") }";
-        assert!(rules_hit("crates/db/src/x.rs", ok).is_empty());
-        // An unjustified allow is GX290.
-        let unjust = "#[allow(clippy::expect_used)]\nfn f(x: Option<u32>) -> u32 { x.expect(\"invariant\") }";
-        assert_eq!(rules_hit("crates/db/src/x.rs", unjust), vec!["GX290"]);
-    }
-
-    #[test]
-    fn gx203_panic_macros() {
-        assert_eq!(
-            rules_hit("crates/runtime/src/x.rs", "fn f() { panic!(\"boom\"); }"),
-            vec!["GX203"]
-        );
-        assert_eq!(
-            rules_hit("crates/db/src/x.rs", "fn f() { unreachable!(); }"),
-            vec!["GX203"]
-        );
-        // `panic::catch_unwind` is not the macro.
-        assert!(rules_hit(
-            "crates/runtime/src/x.rs",
-            "fn f() { let _ = std::panic::take_hook(); }"
-        )
-        .is_empty());
-    }
-
-    #[test]
-    fn gx204_indexing_strict_only() {
-        let src = "fn f(v: &[u32], i: usize) -> u32 { v[i] }";
-        assert_eq!(rules_hit("crates/db/src/x.rs", src), vec!["GX204"]);
-        assert_eq!(rules_hit("crates/runtime/src/x.rs", src), vec!["GX204"]);
-        // Core eval path: no-panic but indexing allowed.
-        assert!(rules_hit("crates/core/src/mla.rs", src).is_empty());
-        // Array literals / types / attributes don't trip it.
-        assert!(rules_hit(
-            "crates/db/src/x.rs",
-            "#[derive(Clone)]\nstruct S { a: [u8; 4] }\nfn f() -> [u8; 2] { [1, 2] }"
-        )
-        .is_empty());
-        assert!(rules_hit(
-            "crates/db/src/x.rs",
-            "fn f(v: &[u32]) -> Option<&u32> { v.get(0) }"
-        )
-        .is_empty());
-    }
-
-    #[test]
-    fn gx301_lock_across_channel() {
-        let bad = "fn f(m: &Mutex<Option<Sender<u32>>>, tx: &Sender<u32>) {\n  let guard = m.lock();\n  tx.send(1);\n}";
-        assert_eq!(rules_hit("crates/runtime/src/x.rs", bad), vec!["GX301"]);
-        // Dropping the guard first is fine.
-        let ok = "fn f(m: &Mutex<u32>, tx: &Sender<u32>) {\n  let guard = m.lock();\n  drop(guard);\n  tx.send(1);\n}";
-        assert!(rules_hit("crates/runtime/src/x.rs", ok).is_empty());
-        // Guard confined to an inner block is fine.
-        let scoped = "fn f(m: &Mutex<u32>, tx: &Sender<u32>) {\n  { let guard = m.lock(); }\n  tx.send(1);\n}";
-        assert!(rules_hit("crates/runtime/src/x.rs", scoped).is_empty());
-        // A temporary (no let binding) is fine: `m.lock().insert(x)` then send.
-        let temp = "fn f(m: &Mutex<HashSet<u32>>, tx: &Sender<u32>) {\n  m.lock().insert(3);\n  tx.send(1);\n}";
-        assert!(rules_hit("crates/runtime/src/x.rs", temp).is_empty());
-        // `.join()` with a guard is flagged; Path::join(arg) is not.
-        let join = "fn f(m: &Mutex<u32>, h: JoinHandle<()>) {\n  let g = m.lock();\n  let _ = h.join();\n}";
-        assert_eq!(rules_hit("crates/runtime/src/x.rs", join), vec!["GX301"]);
-        let path =
-            "fn f(m: &Mutex<u32>, p: &Path) -> PathBuf {\n  let g = m.lock();\n  p.join(\"x\")\n}";
-        assert!(rules_hit("crates/runtime/src/x.rs", path).is_empty());
-        // std guards behind .unwrap() count too (the unwrap itself is a
-        // separate GX201 hit in this strict-tier crate).
-        let std_guard = "fn f(m: &std::sync::Mutex<u32>, tx: &Sender<u32>) {\n  let g = m.lock().unwrap();\n  tx.send(1);\n}";
-        assert_eq!(
-            rules_hit("crates/runtime/src/x.rs", std_guard),
-            vec!["GX201", "GX301"]
-        );
-    }
-
-    #[test]
-    fn gx302_serve_blocking_io_under_table_lock() {
-        let bad = "fn f(state: &ServerState, s: &mut TcpStream) {\n  let table = state.sessions.lock().unwrap();\n  let _ = s.flush();\n}";
-        assert_eq!(rules_hit("crates/serve/src/server.rs", bad), vec!["GX302"]);
-        // Frame codecs count as blocking I/O too.
-        let frame = "fn f(state: &ServerState, s: &mut TcpStream, j: &Json) {\n  let table = state.sessions.lock().unwrap();\n  write_json(s, j);\n}";
-        assert_eq!(
-            rules_hit("crates/serve/src/server.rs", frame),
-            vec!["GX302"]
-        );
-        // The blessed pattern: clone out of the table, drop, then do I/O.
-        let ok = "fn f(state: &ServerState, s: &mut TcpStream) {\n  let table = state.sessions.lock().unwrap();\n  let e = table.get(\"k\").cloned();\n  drop(table);\n  let _ = s.flush();\n}";
-        assert!(rules_hit("crates/serve/src/server.rs", ok).is_empty());
-        // Per-session guards are exempt — only the table is a chokepoint.
-        let session = "fn f(entry: &Mutex<Entry>, s: &mut TcpStream) {\n  let g = entry.lock().unwrap();\n  let _ = s.flush();\n}";
-        assert!(rules_hit("crates/serve/src/server.rs", session).is_empty());
-        // A guard confined to an inner block dies before the I/O.
-        let scoped = "fn f(state: &ServerState, s: &mut TcpStream) {\n  { let table = state.sessions.lock().unwrap(); }\n  let _ = s.flush();\n}";
-        assert!(rules_hit("crates/serve/src/server.rs", scoped).is_empty());
-        // The rule is scoped to crates/serve.
-        assert!(!rules_hit("crates/runtime/src/x.rs", bad).contains(&"GX302"));
-    }
-
-    #[test]
     fn gx402_time_seeds() {
         assert_eq!(
             rules_hit(
@@ -1243,22 +643,6 @@ mod tests {
         // Lookup-only use and BTreeMap iteration are fine.
         let ok = "fn f() {\n  let m: HashMap<u32, u32> = HashMap::new();\n  let v = m.get(&3);\n  let b: BTreeMap<u32, u32> = BTreeMap::new();\n  for kv in &b {}\n}";
         assert!(rules_hit("crates/core/src/x.rs", ok).is_empty());
-    }
-
-    #[test]
-    fn gx501_unsafe_comment() {
-        assert_eq!(
-            rules_hit(
-                "crates/db/src/x.rs",
-                "fn f(b: &[u8]) -> &str { unsafe { std::str::from_utf8_unchecked(b) } }"
-            ),
-            vec!["GX501"]
-        );
-        assert!(rules_hit(
-            "crates/db/src/x.rs",
-            "fn f(b: &[u8]) -> &str {\n  // SAFETY: validated as UTF-8 by the caller.\n  unsafe { std::str::from_utf8_unchecked(b) }\n}"
-        )
-        .is_empty());
     }
 
     #[test]

@@ -31,6 +31,7 @@ pub const BLOCKING_PRIMITIVES: &[(&str, bool, &str)] = &[
     ("accept", true, "blocking accept"),
     ("connect", false, "blocking connect"),
     ("shutdown", false, "socket/pool shutdown"),
+    ("send", false, "channel send"),
     ("recv", true, "channel recv"),
     ("recv_timeout", false, "channel recv"),
     ("recv_deadline", false, "channel recv"),

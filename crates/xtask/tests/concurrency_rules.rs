@@ -2,7 +2,10 @@
 //! summary-based GX303 — each rule gets one triggering and one clean
 //! fixture, linted under synthetic *production* paths (the fixtures
 //! directory itself is test code by the lint's own path rules), plus a
-//! golden-file test for the `lint --lock-graph` text rendering.
+//! golden-file test for the `lint --lock-graph` text rendering. GX702
+//! also carries every case of the lexical lock rules it replaced: guards
+//! across channel ops and joins, and blocking I/O under the serve
+//! session-table lock.
 
 use gptune_xtask::concurrency;
 use gptune_xtask::config::Config;
@@ -19,16 +22,27 @@ fn fixture(name: &str) -> String {
         .unwrap_or_else(|e| panic!("cannot read fixture {}: {e}", path.display()))
 }
 
+fn parsed_source(path_rel: &str, src: &str) -> ParsedFile {
+    parse_file(&FileCtx::new(path_rel, &lex(src)))
+}
+
 fn parsed(name: &str, path_rel: &str) -> ParsedFile {
-    let src = fixture(name);
-    let lexed = lex(&src);
-    parse_file(&FileCtx::new(path_rel, &lexed))
+    parsed_source(path_rel, &fixture(name))
 }
 
 /// Runs the concurrency tier over fixtures mounted at synthetic paths.
 fn check(files: &[(&str, &str)]) -> Vec<Diagnostic> {
     let parsed: Vec<ParsedFile> = files.iter().map(|(n, p)| parsed(n, p)).collect();
     concurrency::check(&parsed, &Config::default())
+}
+
+/// GX702 lines for one source file mounted at `path_rel`.
+fn gx702_lines(path_rel: &str, src: &str) -> Vec<u32> {
+    concurrency::check(&[parsed_source(path_rel, src)], &Config::default())
+        .iter()
+        .filter(|d| d.rule == "GX702")
+        .map(|d| d.line)
+        .collect()
 }
 
 fn rules_of(diags: &[Diagnostic]) -> Vec<&str> {
@@ -90,6 +104,73 @@ fn gx702_releases_the_guard_a_condvar_waits_on() {
     assert_eq!(gx702.len(), 1, "{diags:?}");
     assert_eq!(gx702[0].line, 18, "{diags:?}");
     assert!(gx702[0].msg.contains("`jobs`"), "{}", gx702[0].msg);
+}
+
+#[test]
+fn gx702_flags_guards_across_channel_ops_and_joins() {
+    let rt = "crates/runtime/src/x.rs";
+    // A guard on a plain local mutex held across a channel send.
+    let send = "fn f(m: &Mutex<Option<Sender<u32>>>, tx: &Sender<u32>) {\n  let guard = m.lock();\n  tx.send(1);\n}";
+    assert_eq!(gx702_lines(rt, send), vec![3]);
+    // Across an argless `.join()` (a thread join).
+    let join =
+        "fn f(m: &Mutex<u32>, h: JoinHandle<()>) {\n  let g = m.lock();\n  let _ = h.join();\n}";
+    assert_eq!(gx702_lines(rt, join), vec![3]);
+    // A std guard behind `.unwrap()` is the guard all the same.
+    let std_guard = "fn f(m: &std::sync::Mutex<u32>, tx: &Sender<u32>) {\n  let g = m.lock().unwrap();\n  tx.send(1);\n}";
+    assert_eq!(gx702_lines(rt, std_guard), vec![3]);
+    // A module mixing one violation with the two releasing shapes: only
+    // the send under the live guard is flagged.
+    let module = "use std::sync::mpsc::Sender;\nuse std::sync::Mutex;\n\n\
+                  pub fn violation(m: &Mutex<u32>, tx: &Sender<u32>) {\n\
+                  let guard = m.lock().unwrap();\n\
+                  tx.send(*guard).ok();\n\
+                  }\n\
+                  pub fn clean_drop_first(m: &Mutex<u32>, tx: &Sender<u32>) {\n\
+                  let guard = m.lock().unwrap();\n\
+                  let v = *guard;\n\
+                  drop(guard);\n\
+                  tx.send(v).ok();\n\
+                  }\n\
+                  pub fn clean_scoped(m: &Mutex<u32>, tx: &Sender<u32>) {\n\
+                  let v = {\n\
+                  let guard = m.lock().unwrap();\n\
+                  *guard\n\
+                  };\n\
+                  tx.send(v).ok();\n\
+                  }\n";
+    assert_eq!(gx702_lines("crates/gp/src/fixture.rs", module), vec![6]);
+}
+
+#[test]
+fn gx702_flags_io_under_the_session_table_lock() {
+    let serve = "crates/serve/src/server.rs";
+    let flush = "fn f(state: &ServerState, s: &mut TcpStream) {\n  let table = state.sessions.lock().unwrap();\n  let _ = s.flush();\n}";
+    assert_eq!(gx702_lines(serve, flush), vec![3]);
+    // A frame helper blocks through its body, which is in the linted set.
+    let frame = "fn f(state: &ServerState, s: &mut TcpStream, j: &Json) {\n  let table = state.sessions.lock().unwrap();\n  write_json(s, j);\n}\n\
+                 fn write_json(s: &mut TcpStream, j: &Json) {\n  s.write_all(j.as_bytes()).ok();\n}";
+    assert_eq!(gx702_lines(serve, frame), vec![3]);
+}
+
+#[test]
+fn gx702_accepts_guards_released_before_blocking() {
+    let rt = "crates/runtime/src/x.rs";
+    let dropped = "fn f(m: &Mutex<u32>, tx: &Sender<u32>) {\n  let guard = m.lock();\n  drop(guard);\n  tx.send(1);\n}";
+    assert!(gx702_lines(rt, dropped).is_empty());
+    let inner_block =
+        "fn f(m: &Mutex<u32>, tx: &Sender<u32>) {\n  { let guard = m.lock(); }\n  tx.send(1);\n}";
+    assert!(gx702_lines(rt, inner_block).is_empty());
+    // A temporary guard dies at the end of its statement.
+    let temporary = "fn f(m: &Mutex<HashSet<u32>>, tx: &Sender<u32>) {\n  m.lock().insert(3);\n  tx.send(1);\n}";
+    assert!(gx702_lines(rt, temporary).is_empty());
+    // `Path::join(arg)` is not a thread join.
+    let path_join =
+        "fn f(m: &Mutex<u32>, p: &Path) -> PathBuf {\n  let g = m.lock();\n  p.join(\"x\")\n}";
+    assert!(gx702_lines(rt, path_join).is_empty());
+    // The serve idiom: clone out of the table, drop the guard, then I/O.
+    let clone_drop = "fn f(state: &ServerState, s: &mut TcpStream) {\n  let table = state.sessions.lock().unwrap();\n  let e = table.get(\"k\").cloned();\n  drop(table);\n  let _ = s.flush();\n}";
+    assert!(gx702_lines("crates/serve/src/server.rs", clone_drop).is_empty());
 }
 
 #[test]

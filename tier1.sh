@@ -26,12 +26,19 @@ cargo test --offline --locked -q --release -p gptune-gp --test equivalence
 # must stay within its fixed tolerance -- see crates/gp/tests/incremental.rs.
 cargo test --offline --locked -q --release -p gptune-gp --test incremental
 cargo fmt --all -- --check
+# Clippy also carries the panic-freedom policy: runtime and db deny
+# unwrap/expect/panic!/unreachable!/todo!/unimplemented!/bare indexing and
+# reasonless #[allow]s outside tests, core the same list except indexing
+# (see their crate roots). `unsafe` is forbidden workspace-wide by the root
+# [workspace.lints.rust] table, so the build steps already reject it.
 cargo clippy --offline --locked --workspace --all-targets -- -D warnings
-# Domain-specific lint suite (NaN-safety, panic tiers, lock discipline,
-# determinism, unsafe hygiene, observability) plus the GX7xx workspace
-# concurrency tier (lock-order graph, interprocedural blocking summaries)
-# -- see DESIGN.md "Static-analysis policy" and section 6. -D semantics:
-# any finding fails the gate. The full sweep must stay interactive
+# Rustdoc gate: a dangling or private intra-doc link fails.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --locked --no-deps --workspace
+# Domain-specific lint suite (NaN-safety, serve socket deadlines,
+# determinism, observability, the dependency allowlist) plus the GX7xx
+# workspace concurrency tier (lock-order graph, interprocedural
+# guard-across-blocking summaries) -- see DESIGN.md section 6. -D
+# semantics: any finding fails the gate. The full sweep must stay interactive
 # (< 10s wall) so it never gets skipped locally; the binary is built
 # above by `cargo build --release --workspace` (without `--workspace` only
 # the root package is built), so this times the lint itself.
