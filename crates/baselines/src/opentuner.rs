@@ -87,7 +87,7 @@ impl OpenTunerLike {
             Technique::MutateBest => {
                 let base = norm(&ranked[0].0);
                 base.iter()
-                    .map(|v| (v + gauss(rng) * 0.08).clamp(0.0, 1.0))
+                    .map(|v| (v + rng.gaussian() * 0.08).clamp(0.0, 1.0))
                     .collect()
             }
             Technique::Crossover => {
@@ -145,17 +145,11 @@ impl OpenTunerLike {
                 let k = ranked.len().min(3);
                 let base = norm(&ranked[rng.gen_range(0..k)].0);
                 base.iter()
-                    .map(|v| (v + gauss(rng) * temp).clamp(0.0, 1.0))
+                    .map(|v| (v + rng.gaussian() * temp).clamp(0.0, 1.0))
                     .collect()
             }
         }
     }
-}
-
-fn gauss(rng: &mut StdRng) -> f64 {
-    let u1: f64 = rng.gen::<f64>().max(1e-300);
-    let u2: f64 = rng.gen();
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 impl Tuner for OpenTunerLike {

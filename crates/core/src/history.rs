@@ -1,19 +1,15 @@
-//! Tuning-history database (paper goal 3: archive and reuse tuning data
-//! across executions so tuning improves over time).
+//! In-memory tuning history: the `(task, config, outputs)` triples of one
+//! problem that transfer learning reads (paper goal 3: reuse tuning data
+//! across executions).
 //!
-//! The history stores `(task, config, outputs)` triples keyed by problem
-//! name, saved as JSON through `gptune_db::json` with the value tags the
-//! journal and the serve wire use (`{"r":x}`, `{"i":n}`, `{"c":k}`).
-//! Outputs go through [`Json::from_f64`], so a censored failure (`inf`)
-//! or a `NaN` survives a save/load round trip. A new MLA run can seed its
-//! sampling phase from matching archived records, exactly like GPTune's
-//! shared-database workflow.
+//! The durable archive is `gptune-db`: a run with [`MlaOptions::with_db`]
+//! archives its evaluations when it finishes, and
+//! [`crate::db_bridge::history_from_db`] loads them back into a
+//! [`History`] for [`crate::tla::transfer_tune`].
+//!
+//! [`MlaOptions::with_db`]: crate::MlaOptions::with_db
 
-use crate::db_bridge::{config_from_json, config_to_json};
-use gptune_db::json::{self, Json};
 use gptune_space::{Config, Value};
-use std::io::Read;
-use std::path::Path;
 
 /// One archived evaluation.
 #[derive(Debug, Clone, PartialEq)]
@@ -26,7 +22,7 @@ pub struct Record {
     pub outputs: Vec<f64>,
 }
 
-/// A tuning-history archive for one problem.
+/// The tuning history of one problem.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct History {
     /// Problem name the records belong to.
@@ -77,88 +73,6 @@ impl History {
             .into_iter()
             .filter(|r| r.outputs.first().is_some_and(|v| v.is_finite()))
             .min_by(|a, b| a.outputs[0].total_cmp(&b.outputs[0]))
-    }
-
-    /// Merges another history (same problem) into this one, skipping exact
-    /// duplicates.
-    pub fn merge(&mut self, other: &History) {
-        assert_eq!(
-            self.problem, other.problem,
-            "History::merge: different problems"
-        );
-        for r in &other.records {
-            if !self.records.contains(r) {
-                self.records.push(r.clone());
-            }
-        }
-    }
-
-    /// Serializes to JSON, one record per line:
-    /// `{"problem":"…","records":[{"task":[…],"config":[…],"outputs":[…]},…]}`.
-    pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"problem\":{},\"records\":[",
-            Json::Str(self.problem.clone())
-        );
-        for (i, r) in self.records.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            let rec = Json::Obj(vec![
-                ("task".into(), config_to_json(&r.task)),
-                ("config".into(), config_to_json(&r.config)),
-                (
-                    "outputs".into(),
-                    Json::Arr(r.outputs.iter().map(|&y| Json::from_f64(y)).collect()),
-                ),
-            ]);
-            out.push_str(&rec.to_string());
-        }
-        out.push_str("\n]}\n");
-        out
-    }
-
-    /// Deserializes from JSON written by [`History::to_json`].
-    pub fn from_json(s: &str) -> Result<History, String> {
-        let j = json::parse(s).map_err(|e| e.to_string())?;
-        let problem = j
-            .get("problem")
-            .and_then(Json::as_str)
-            .ok_or("history: missing problem")?
-            .to_string();
-        let records = j
-            .get("records")
-            .and_then(Json::as_arr)
-            .ok_or("history: missing records")?
-            .iter()
-            .map(|r| {
-                let field = |k: &str| r.get(k).ok_or(format!("history record: missing {k}"));
-                let outputs = field("outputs")?
-                    .as_arr()
-                    .ok_or("history record: outputs is not an array")?
-                    .iter()
-                    .map(|y| y.as_f64().ok_or(format!("history record: bad output {y}")))
-                    .collect::<Result<Vec<f64>, String>>()?;
-                Ok(Record {
-                    task: config_from_json(field("task")?)?,
-                    config: config_from_json(field("config")?)?,
-                    outputs,
-                })
-            })
-            .collect::<Result<Vec<Record>, String>>()?;
-        Ok(History { problem, records })
-    }
-
-    /// Saves to a file, atomically: the JSON is written to a temp sibling,
-    /// fsynced, and renamed over `path`, so a crash mid-save can never
-    /// leave a torn archive (the previous version survives intact).
-    pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        gptune_db::atomic_write(path, self.to_json().as_bytes())
-    }
-
-    /// Loads from a file.
-    pub fn load(path: &Path) -> std::io::Result<History> {
-        let mut s = String::new();
-        std::fs::File::open(path)?.read_to_string(&mut s)?;
-        History::from_json(&s).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
     }
 
     /// Builds a history from an MLA result.
@@ -220,116 +134,5 @@ mod tests {
         let mut h2 = History::new("y");
         h2.push(vec![Value::Int(1)], vec![Value::Int(1)], vec![f64::NAN]);
         assert!(h2.best_for_task(&[Value::Int(1)]).is_none());
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let h = sample_history();
-        let s = h.to_json();
-        let back = History::from_json(&s).unwrap();
-        assert_eq!(h, back);
-    }
-
-    #[test]
-    fn json_roundtrip_keeps_non_finite_outputs() {
-        let mut h = History::new("censored");
-        h.push(
-            vec![Value::Int(1)],
-            vec![Value::Cat(2)],
-            vec![f64::INFINITY],
-        );
-        h.push(
-            vec![Value::Int(1)],
-            vec![Value::Real(0.5)],
-            vec![f64::NEG_INFINITY],
-        );
-        h.push(
-            vec![Value::Int(2)],
-            vec![Value::Real(-1e300)],
-            vec![f64::NAN, 2.5],
-        );
-        let dir =
-            std::env::temp_dir().join(format!("gptune_history_nonfinite_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("h.json");
-        h.save(&path).unwrap();
-        let back = History::load(&path).unwrap();
-        let _ = std::fs::remove_dir_all(&dir);
-        assert_eq!(back.problem, h.problem);
-        assert_eq!(back.len(), h.len());
-        for (a, b) in h.records.iter().zip(&back.records) {
-            assert_eq!((&a.task, &a.config), (&b.task, &b.config));
-            let bits = |r: &Record| r.outputs.iter().map(|y| y.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(a), bits(b));
-        }
-    }
-
-    #[test]
-    fn empty_history_roundtrips() {
-        let h = History::new("none");
-        assert_eq!(History::from_json(&h.to_json()).unwrap(), h);
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let h = sample_history();
-        let dir = std::env::temp_dir().join("gptune_history_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("h.json");
-        h.save(&path).unwrap();
-        let back = History::load(&path).unwrap();
-        assert_eq!(h, back);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn save_replaces_atomically_without_litter() {
-        let dir =
-            std::env::temp_dir().join(format!("gptune_history_atomic_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("h.json");
-        sample_history().save(&path).unwrap();
-        let mut h2 = sample_history();
-        h2.push(vec![Value::Int(5)], vec![Value::Int(5)], vec![5.0]);
-        h2.save(&path).unwrap();
-        assert_eq!(History::load(&path).unwrap(), h2);
-        // The temp sibling used for the atomic rename must be gone.
-        let leftovers: Vec<String> = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-            .filter(|n| n != "h.json")
-            .collect();
-        assert!(leftovers.is_empty(), "{leftovers:?}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn merge_dedups() {
-        let mut a = sample_history();
-        let b = sample_history();
-        a.merge(&b);
-        assert_eq!(a.len(), 3);
-        let mut c = History::new("pdgeqrf");
-        c.push(vec![Value::Int(9)], vec![Value::Int(9)], vec![9.0]);
-        a.merge(&c);
-        assert_eq!(a.len(), 4);
-    }
-
-    #[test]
-    #[should_panic]
-    fn merge_different_problems_panics() {
-        let mut a = History::new("a");
-        let b = History::new("b");
-        a.merge(&b);
-    }
-
-    #[test]
-    fn corrupt_json_is_error() {
-        assert!(History::from_json("not json").is_err());
-        assert!(History::from_json(r#"{"problem":"p"}"#).is_err());
-        let bad_value =
-            r#"{"problem":"p","records":[{"task":[{"x":1}],"config":[],"outputs":[]}]}"#;
-        assert!(History::from_json(bad_value).is_err());
     }
 }

@@ -13,9 +13,9 @@
 //! * [`perfmodel`] — incorporation of coarse performance models (Sec. 3.3):
 //!   feature enrichment `[x, ỹ(t,x)]` plus on-the-fly least-squares updates
 //!   of the model hyperparameters (`t_flop, t_msg, t_vol` of Eq. 7);
-//! * [`history`] — the in-memory archive/reuse records (goal 3 of the
-//!   paper: "support archiving and reusing tuning data from multiple
-//!   executions");
+//! * [`history`] — the in-memory evaluation records transfer learning
+//!   reads (goal 3 of the paper: "support archiving and reusing tuning
+//!   data from multiple executions");
 //! * [`db_bridge`] — the boundary to `gptune-db`, the crash-safe on-disk
 //!   history database: problem signatures, warm-start preloading,
 //!   checkpoint/resume, and end-of-run archiving;

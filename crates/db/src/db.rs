@@ -52,12 +52,6 @@ impl Db {
         })
     }
 
-    /// Overrides the locking discipline (tests use short timeouts).
-    pub fn with_lock_options(mut self, lock: LockOptions) -> Db {
-        self.lock = lock;
-        self
-    }
-
     /// The archive root directory.
     pub fn root(&self) -> &Path {
         &self.root
@@ -65,8 +59,7 @@ impl Db {
 
     /// Journal path for a problem signature.
     pub fn journal_path(&self, problem: &str, sig: u64) -> PathBuf {
-        self.root
-            .join(format!("{}-{sig:016x}.jsonl", sanitize(problem)))
+        crate::shard::live_journal_path(&self.root, problem, sig)
     }
 
     /// Checkpoint path for a (signature, run fingerprint) pair.
@@ -135,23 +128,11 @@ impl Db {
             .collect())
     }
 
-    /// Deduplicates and heals a journal in place. Returns
-    /// `(entries_kept, entries_dropped)`.
+    /// Deduplicates and heals a problem's live journal in place, dropping
+    /// entries its archive shards already hold (see
+    /// [`crate::shard::compact`]). Returns `(entries_kept, entries_dropped)`.
     pub fn compact(&self, problem: &str, sig: u64) -> io::Result<(usize, usize)> {
-        journal::compact(&self.journal_path(problem, sig), &self.lock)
-    }
-
-    /// Merges a foreign journal file into this archive's journal for the
-    /// same problem. Returns the number of new entries. Deduplication is
-    /// shard-aware: entries already present in this archive's shards are
-    /// not re-added to the live journal.
-    pub fn merge_from(&self, problem: &str, sig: u64, src: &Path) -> io::Result<usize> {
-        let (entries, _) = if crate::journal_v2::is_v2(src) {
-            crate::journal_v2::load(src)?
-        } else {
-            journal::load(src)?
-        };
-        self.merge_entries(problem, sig, &entries)
+        crate::shard::compact(&self.root, problem, sig, &self.lock)
     }
 
     /// Appends the subset of `entries` not already present anywhere in
@@ -333,16 +314,34 @@ mod tests {
         let b = Db::open(&root_b).unwrap();
         a.append(&[rec(1, 10, 1.0)]).unwrap();
         b.append(&[rec(1, 10, 1.0), rec(1, 20, 2.0)]).unwrap();
-        let added = a
-            .merge_from("toy[0]", 0xfeed, &b.journal_path("toy[0]", 0xfeed))
-            .unwrap();
+        let (incoming, _) = b.load("toy[0]", 0xfeed).unwrap();
+        let added = a.merge_entries("toy[0]", 0xfeed, &incoming).unwrap();
         assert_eq!(added, 1);
+        // Merging again is a no-op.
+        assert_eq!(a.merge_entries("toy[0]", 0xfeed, &incoming).unwrap(), 0);
         assert_eq!(
             a.query("toy[0]", 0xfeed, &Query::default()).unwrap().len(),
             2
         );
         let _ = fs::remove_dir_all(&root_a);
         let _ = fs::remove_dir_all(&root_b);
+    }
+
+    #[test]
+    fn compact_drops_live_entries_already_in_shards() {
+        let root = tmp_root("compact_sharded");
+        let db = Db::open(&root).unwrap();
+        db.append(&[rec(1, 10, 1.0), rec(2, 20, 2.0)]).unwrap();
+        db.split_shards("toy[0]", 0xfeed, crate::shard::ShardPolicy::ByTask)
+            .unwrap();
+        // A replayed append re-adds an entry a shard already holds.
+        db.append(&[rec(1, 10, 1.0), rec(1, 30, 3.0)]).unwrap();
+        assert_eq!(db.compact("toy[0]", 0xfeed).unwrap(), (1, 1));
+        assert_eq!(
+            db.query("toy[0]", 0xfeed, &Query::default()).unwrap().len(),
+            3
+        );
+        let _ = fs::remove_dir_all(&root);
     }
 
     #[test]

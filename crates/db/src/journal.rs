@@ -187,59 +187,6 @@ fn ends_with_newline(path: &Path) -> io::Result<bool> {
     Ok(last == [b'\n'])
 }
 
-/// Rewrites a journal keeping the first occurrence of each entry (by
-/// [`DbEntry::dedup_key`]), dropping corrupt lines for good. Runs under the
-/// journal lock; the rewrite is atomic (temp + rename). Returns
-/// `(entries_kept, entries_dropped)`.
-pub fn compact(path: &Path, lock: &LockOptions) -> io::Result<(usize, usize)> {
-    let _guard = FileLock::acquire(path, lock)?;
-    let (entries, report) = load(path)?;
-    let mut seen = std::collections::HashSet::new();
-    let mut kept: Vec<&DbEntry> = Vec::with_capacity(entries.len());
-    for e in &entries {
-        if seen.insert(e.dedup_key()) {
-            kept.push(e);
-        }
-    }
-    let mut buf = String::new();
-    for e in &kept {
-        buf.push_str(&e.to_line());
-        buf.push('\n');
-    }
-    fsio::atomic_write(path, buf.as_bytes())?;
-    let dropped = entries.len() - kept.len()
-        + report.n_corrupt_interior
-        + report.n_unknown_kind
-        + usize::from(report.dropped_torn_tail);
-    Ok((kept.len(), dropped))
-}
-
-/// Merges entries from `src` into `dst` (append-only): every entry of
-/// `src` whose dedup key is not already in `dst` is appended. Returns the
-/// number of newly added entries.
-pub fn merge(dst: &Path, src: &Path, lock: &LockOptions) -> io::Result<usize> {
-    let (incoming, _) = load(src)?;
-    let _guard = FileLock::acquire(dst, lock)?;
-    let (existing, _) = load(dst)?;
-    let seen: std::collections::HashSet<String> = existing.iter().map(|e| e.dedup_key()).collect();
-    let mut buf = String::new();
-    let mut added = 0usize;
-    let mut batch_seen = std::collections::HashSet::new();
-    for e in &incoming {
-        let k = e.dedup_key();
-        if !seen.contains(&k) && batch_seen.insert(k) {
-            buf.push_str(&e.to_line());
-            buf.push('\n');
-            added += 1;
-        }
-    }
-    if added > 0 {
-        let mut f = fsio::open_append(dst)?;
-        fsio::append_durable(&mut f, buf.as_bytes())?;
-    }
-    Ok(added)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -425,43 +372,6 @@ mod tests {
         let (entries, report) = load(&p).unwrap();
         assert_eq!(entries.len(), 2);
         assert!(report.is_clean());
-        let _ = fs::remove_dir_all(&d);
-    }
-
-    #[test]
-    fn compact_dedups_and_heals() {
-        let d = tmpdir("compact");
-        let p = d.join("j.jsonl");
-        let lock = LockOptions::default();
-        append(&p, &[rec(1, 1.0), rec(2, 2.0), rec(1, 1.0)], &lock).unwrap();
-        // Torn tail to be healed away.
-        let torn = rec(9, 9.0).to_line();
-        let mut bytes = fs::read(&p).unwrap();
-        bytes.extend_from_slice(&torn.as_bytes()[..10]);
-        fs::write(&p, &bytes).unwrap();
-        let (kept, dropped) = compact(&p, &lock).unwrap();
-        assert_eq!(kept, 2);
-        assert_eq!(dropped, 2); // 1 duplicate + 1 torn tail
-        let (entries, report) = load(&p).unwrap();
-        assert_eq!(entries.len(), 2);
-        assert!(report.is_clean());
-        let _ = fs::remove_dir_all(&d);
-    }
-
-    #[test]
-    fn merge_adds_only_new_entries() {
-        let d = tmpdir("merge");
-        let a = d.join("a.jsonl");
-        let b = d.join("b.jsonl");
-        let lock = LockOptions::default();
-        append(&a, &[rec(1, 1.0), rec(2, 2.0)], &lock).unwrap();
-        append(&b, &[rec(2, 2.0), rec(3, 3.0), rec(3, 3.0)], &lock).unwrap();
-        let added = merge(&a, &b, &lock).unwrap();
-        assert_eq!(added, 1);
-        let (entries, _) = load(&a).unwrap();
-        assert_eq!(entries.len(), 3);
-        // Merging again is a no-op.
-        assert_eq!(merge(&a, &b, &lock).unwrap(), 0);
         let _ = fs::remove_dir_all(&d);
     }
 

@@ -50,17 +50,6 @@ const VAL_REAL: u8 = 0;
 const VAL_INT: u8 = 1;
 const VAL_CAT: u8 = 2;
 
-/// `true` when the file starts with the v2 magic. A missing or short file
-/// is not v2.
-pub fn is_v2(path: &Path) -> bool {
-    use std::io::Read as _;
-    let mut head = [0u8; 8];
-    match fs::File::open(path) {
-        Ok(mut f) => f.read_exact(&mut head).is_ok() && &head == MAGIC,
-        Err(_) => false,
-    }
-}
-
 /// Writes `entries` as a v2 archive at `path` (atomic snapshot). Every
 /// entry must belong to `(problem, sig)` — a mismatched entry is an
 /// `InvalidInput` error, mirroring the per-journal invariant of the
@@ -550,7 +539,7 @@ mod tests {
         let (back, report) = load(&path).unwrap();
         assert!(report.is_clean(), "{report:?}");
         assert_eq!(back, entries);
-        assert!(is_v2(&path));
+        assert!(std::fs::read(&path).unwrap().starts_with(MAGIC));
         let _ = std::fs::remove_dir_all(&d);
     }
 
@@ -656,7 +645,6 @@ mod tests {
         std::fs::write(&path, b"not a v2 file at all").unwrap();
         let err = load(&path).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(!is_v2(&path));
         let _ = std::fs::remove_dir_all(&d);
     }
 

@@ -4,8 +4,8 @@
 //! The GPTune workflow accumulates every objective evaluation into a
 //! shared archive that later runs reuse (MLA warm starts, TLA transfer
 //! tuning). At production scale that archive must survive killed runs and
-//! concurrent writers, which the in-memory `gptune-core` `History` with
-//! a whole-file JSON dump cannot. This crate is the durable substrate:
+//! concurrent writers. This crate is the durable substrate; `gptune-core`
+//! reads it back into its in-memory `History`:
 //!
 //! * [`journal`] — one append-only JSONL file per problem signature.
 //!   Writers append whole lines and fsync; recovery tolerates a torn
@@ -15,7 +15,8 @@
 //!   detection, so multiple tuner processes share one archive without
 //!   lost records;
 //! * [`fsio`] — atomic snapshot writes (temp + fsync + rename +
-//!   dir-fsync) used by checkpoints, compaction, and `History::save`;
+//!   dir-fsync) used by checkpoints, compaction, shards and their
+//!   manifests, and the serve session store;
 //! * [`checkpoint`] — full in-flight MLA state (evaluations, iteration
 //!   counters, phase stats) so an interrupted run resumes mid-budget and
 //!   converges to the identical result as an uninterrupted run;

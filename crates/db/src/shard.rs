@@ -383,10 +383,12 @@ pub fn split(
     Ok(manifest)
 }
 
-/// Drops live-journal entries that already exist in archive shards (and
-/// interior duplicates), rewriting the live journal atomically. Returns
-/// `(kept, dropped)`.
-pub fn compact_live(
+/// Rewrites the live journal of `(problem, sig)`, keeping the first
+/// occurrence of each entry that no archive shard already holds; corrupt,
+/// unknown-kind and torn lines go for good. Runs under the journal lock,
+/// and the rewrite is atomic (temp + rename). Returns `(kept, dropped)`,
+/// where `dropped` counts duplicates and unreadable lines alike.
+pub fn compact(
     root: &Path,
     problem: &str,
     sig: u64,
@@ -398,26 +400,26 @@ pub fn compact_live(
     if let Some(manifest) = ShardManifest::load(root, problem, sig)? {
         for info in &manifest.shards {
             let (es, _) = load_shard(root, info)?;
-            for e in &es {
-                seen.insert(e.dedup_key());
-            }
+            seen.extend(es.iter().map(DbEntry::dedup_key));
         }
     }
-    let (live, _) = journal::load(&live_path)?;
-    let n_before = live.len();
-    let mut kept = Vec::new();
-    for e in live {
-        if seen.insert(e.dedup_key()) {
-            kept.push(e);
-        }
-    }
+    let (live, report) = journal::load(&live_path)?;
+    let n_live = live.len();
+    let kept: Vec<DbEntry> = live
+        .into_iter()
+        .filter(|e| seen.insert(e.dedup_key()))
+        .collect();
     let mut text = String::new();
     for e in &kept {
         text.push_str(&e.to_line());
         text.push('\n');
     }
     fsio::atomic_write(&live_path, text.as_bytes())?;
-    Ok((kept.len(), n_before - kept.len()))
+    let dropped = n_live - kept.len()
+        + report.n_corrupt_interior
+        + report.n_unknown_kind
+        + usize::from(report.dropped_torn_tail);
+    Ok((kept.len(), dropped))
 }
 
 /// Canonical task label used for by-task shard names.
@@ -604,9 +606,27 @@ mod tests {
         seed_journal(&root, &[e]);
         let (all, _) = load_all(&root, "toy", 0xfeed).unwrap();
         assert_eq!(all.len(), 2);
-        // compact_live drops the duplicate from the write head.
-        let (kept, dropped) = compact_live(&root, "toy", 0xfeed, &LockOptions::default()).unwrap();
+        // compact drops the duplicate from the write head.
+        let (kept, dropped) = compact(&root, "toy", 0xfeed, &LockOptions::default()).unwrap();
         assert_eq!((kept, dropped), (0, 1));
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn compact_dedups_and_heals() {
+        let root = tmp_root("compact");
+        seed_journal(&root, &[rec(0, 1, 1.0), rec(0, 2, 2.0), rec(0, 1, 1.0)]);
+        // Torn tail to be healed away.
+        let live = live_journal_path(&root, "toy", 0xfeed);
+        let torn = rec(0, 9, 9.0).to_line();
+        let mut bytes = std::fs::read(&live).unwrap();
+        bytes.extend_from_slice(&torn.as_bytes()[..10]);
+        std::fs::write(&live, &bytes).unwrap();
+        let (kept, dropped) = compact(&root, "toy", 0xfeed, &LockOptions::default()).unwrap();
+        assert_eq!((kept, dropped), (2, 2)); // 1 duplicate + 1 torn tail
+        let (entries, report) = journal::load(&live).unwrap();
+        assert_eq!(entries.len(), 2);
+        assert!(report.is_clean());
         let _ = std::fs::remove_dir_all(&root);
     }
 

@@ -1,66 +1,11 @@
-//! Single-task GP — the `δ = 1` special case of the LCM.
+//! Acquisition functions over a GP posterior [`Prediction`], and the
+//! standard normal CDF/PDF they are built from.
 //!
-//! The paper's single-task-learning comparisons (Fig. 5, Table 3) run the
-//! same machinery with one task; this wrapper provides the ergonomic API for
-//! that case and for the single-task GP baseline tuner.
+//! The search phase (paper Sec. 3.1) maximizes [`expected_improvement`];
+//! [`lower_confidence_bound`] and [`probability_of_improvement`] are the
+//! alternatives MLA's `Acquisition` option selects for ablations.
 
-use crate::lcm::{LcmFitOptions, LcmModel, Prediction};
-
-/// A single-task Gaussian-process surrogate backed by a one-task [`LcmModel`].
-///
-/// ```
-/// use gptune_gp::{LcmFitOptions, SingleTaskGp};
-///
-/// let xs: Vec<Vec<f64>> = (0..8).map(|i| vec![i as f64 / 7.0]).collect();
-/// let ys: Vec<f64> = xs.iter().map(|x| (x[0] - 0.5_f64).powi(2)).collect();
-/// let gp = SingleTaskGp::fit(&xs, &ys, &LcmFitOptions::default());
-/// let p = gp.predict(&[0.5]);
-/// assert!(p.mean.abs() < 0.1);          // near the true minimum value 0
-/// assert!(p.variance >= 0.0);
-/// ```
-#[derive(Debug, Clone)]
-pub struct SingleTaskGp {
-    inner: LcmModel,
-}
-
-impl SingleTaskGp {
-    /// Fits a GP to `(x, y)` pairs with inputs in the unit cube.
-    pub fn fit(xs: &[Vec<f64>], y: &[f64], opts: &LcmFitOptions) -> SingleTaskGp {
-        let task_of = vec![0usize; xs.len()];
-        let mut o = opts.clone();
-        o.q = 1;
-        SingleTaskGp {
-            inner: LcmModel::fit(xs, &task_of, y, 1, &o),
-        }
-    }
-
-    /// Posterior mean and variance at `x`.
-    pub fn predict(&self, x: &[f64]) -> Prediction {
-        self.inner.predict(0, x)
-    }
-
-    /// Batched posterior prediction at many points — one blocked multi-RHS
-    /// solve instead of per-point triangular solves; results are identical
-    /// to per-point [`predict`](Self::predict).
-    pub fn predict_batch(&self, xs: &[Vec<f64>]) -> Vec<Prediction> {
-        self.inner.predict_batch(0, xs)
-    }
-
-    /// Best observed output.
-    pub fn best_observed(&self) -> f64 {
-        self.inner.best_observed(0).expect("fit guarantees data")
-    }
-
-    /// Number of training samples.
-    pub fn n_samples(&self) -> usize {
-        self.inner.n_samples()
-    }
-
-    /// Access to the underlying LCM (hyperparameters, NLL).
-    pub fn inner(&self) -> &LcmModel {
-        &self.inner
-    }
-}
+use crate::lcm::Prediction;
 
 /// Expected Improvement for minimization at a predicted point:
 ///
@@ -129,19 +74,6 @@ pub fn erfc(x: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lcm::LcmFitOptions;
-
-    #[test]
-    fn gp_fits_quadratic() {
-        let xs: Vec<Vec<f64>> = (0..9).map(|i| vec![(i as f64 + 0.5) / 9.0]).collect();
-        let ys: Vec<f64> = xs.iter().map(|x| (x[0] - 0.4).powi(2)).collect();
-        let gp = SingleTaskGp::fit(&xs, &ys, &LcmFitOptions::default());
-        let p = gp.predict(&[0.4]);
-        assert!(p.mean.abs() < 0.05, "mean at optimum {}", p.mean);
-        assert!(
-            (gp.best_observed() - ys.iter().cloned().fold(f64::INFINITY, f64::min)).abs() < 1e-12
-        );
-    }
 
     #[test]
     fn ei_nonnegative_and_zero_without_hope() {

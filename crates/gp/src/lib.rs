@@ -17,8 +17,13 @@
 //! * [`kernel`] — ARD squared-exponential kernel and its gradients;
 //! * [`lcm`] — LCM covariance assembly, likelihood + gradient, prediction
 //!   (paper Eqs. 5–6), and multi-start fitting;
-//! * [`gp`] — single-task convenience wrapper (the `δ = 1` degenerate case
-//!   used by single-task-learning comparisons).
+//! * [`incremental`] — the LCM kept across tuning iterations, extended
+//!   by rank-1 updates between full refits;
+//! * [`gp`] — the acquisition functions the search phase maximizes (EI,
+//!   LCB, PI) over a posterior [`Prediction`].
+//!
+//! Single-task tuning (`δ = 1`, the single-task-learning comparisons of
+//! Fig. 5 and Table 3) is the same LCM with one task.
 
 // Index-based loops over covariance entries mirror the paper's equations.
 #![allow(clippy::needless_range_loop)]
@@ -28,7 +33,6 @@ pub mod incremental;
 pub mod kernel;
 pub mod lcm;
 
-pub use gp::SingleTaskGp;
 pub use incremental::{IncrementalLcm, ModelState, RefitMode, RefitSchedule};
 pub use kernel::{ArdKernel, KernelKind, SeArdKernel};
 pub use lcm::{LcmFitOptions, LcmHyperparams, LcmModel, Prediction};

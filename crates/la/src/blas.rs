@@ -71,14 +71,6 @@ pub fn nrm2(x: &[f64]) -> f64 {
     amax * s.sqrt()
 }
 
-/// `x ← alpha * x`.
-#[inline]
-pub fn scal(alpha: f64, x: &mut [f64]) {
-    for v in x {
-        *v *= alpha;
-    }
-}
-
 /// General matrix-vector product `y ← alpha * A x + beta * y`.
 pub fn gemv(alpha: f64, a: &Matrix, x: &[f64], beta: f64, y: &mut [f64]) {
     assert_eq!(a.cols(), x.len(), "gemv: A.cols != x.len");
@@ -100,16 +92,6 @@ pub fn gemv_t(alpha: f64, a: &Matrix, x: &[f64], beta: f64, y: &mut [f64]) {
         let row = a.row(i);
         let xi = alpha * x[i];
         axpy(xi, row, y);
-    }
-}
-
-/// Rank-1 update `A ← A + alpha * x yᵀ`.
-pub fn ger(alpha: f64, x: &[f64], y: &[f64], a: &mut Matrix) {
-    assert_eq!(a.rows(), x.len());
-    assert_eq!(a.cols(), y.len());
-    for i in 0..a.rows() {
-        let xi = alpha * x[i];
-        axpy(xi, y, a.row_mut(i));
     }
 }
 
@@ -141,41 +123,6 @@ pub fn gemm(alpha: f64, a: &Matrix, b: &Matrix, beta: f64, c: &mut Matrix) {
                     }
                 }
             }
-        }
-    }
-}
-
-/// `C ← alpha * A Bᵀ + beta * C` (sequential).
-pub fn gemm_nt(alpha: f64, a: &Matrix, b: &Matrix, beta: f64, c: &mut Matrix) {
-    assert_eq!(a.cols(), b.cols(), "gemm_nt: inner dims");
-    assert_eq!(c.rows(), a.rows());
-    assert_eq!(c.cols(), b.rows());
-    for i in 0..a.rows() {
-        let arow = a.row(i);
-        let crow = c.row_mut(i);
-        for j in 0..b.rows() {
-            crow[j] = beta * crow[j] + alpha * dot(arow, b.row(j));
-        }
-    }
-}
-
-/// `C ← alpha * Aᵀ B + beta * C` (sequential).
-pub fn gemm_tn(alpha: f64, a: &Matrix, b: &Matrix, beta: f64, c: &mut Matrix) {
-    assert_eq!(a.rows(), b.rows(), "gemm_tn: inner dims");
-    assert_eq!(c.rows(), a.cols());
-    assert_eq!(c.cols(), b.cols());
-    if !feq(beta, 1.0) {
-        c.scale(beta);
-    }
-    for kk in 0..a.rows() {
-        let arow = a.row(kk);
-        let brow = b.row(kk);
-        for i in 0..a.cols() {
-            let aik = alpha * arow[i];
-            if feq(aik, 0.0) {
-                continue;
-            }
-            axpy(aik, brow, c.row_mut(i));
         }
     }
 }
@@ -255,14 +202,6 @@ mod tests {
     }
 
     #[test]
-    fn ger_rank1() {
-        let mut a = Matrix::zeros(2, 3);
-        ger(2.0, &[1.0, 2.0], &[1.0, 0.0, -1.0], &mut a);
-        assert_eq!(a.row(0), &[2.0, 0.0, -2.0]);
-        assert_eq!(a.row(1), &[4.0, 0.0, -4.0]);
-    }
-
-    #[test]
     fn gemm_matches_naive_nonsquare() {
         let a = arange(7, 130);
         let b = arange(130, 5);
@@ -284,23 +223,6 @@ mod tests {
         let mut c = Matrix::filled(3, 3, 1.0);
         gemm(1.0, &a, &b, 3.0, &mut c);
         assert_eq!(c.get(0, 0), 5.0);
-    }
-
-    #[test]
-    fn gemm_nt_and_tn_match_naive() {
-        let a = arange(6, 9);
-        let b = arange(4, 9); // for nt: C = A Bᵀ is 6x4
-        let mut c = Matrix::zeros(6, 4);
-        gemm_nt(1.0, &a, &b, 0.0, &mut c);
-        let r = naive_matmul(&a, &b.transpose());
-        assert_eq!(c, r);
-
-        let a2 = arange(9, 6);
-        let b2 = arange(9, 4);
-        let mut c2 = Matrix::zeros(6, 4);
-        gemm_tn(1.0, &a2, &b2, 0.0, &mut c2);
-        let r2 = naive_matmul(&a2.transpose(), &b2);
-        assert_eq!(c2, r2);
     }
 
     #[test]

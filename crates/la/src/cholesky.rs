@@ -163,17 +163,6 @@ impl Cholesky {
         x
     }
 
-    /// Solves `A X = B`, overwriting `B`. Both halves are row-sweep
-    /// multi-RHS solves whose inner loops are stride-1 combinations across
-    /// all right-hand sides — the BLAS-3 shape the batched GP prediction
-    /// relies on. Each column applies the same operation sequence as the
-    /// corresponding [`Cholesky::solve`].
-    pub fn solve_matrix_in_place(&self, b: &mut Matrix) {
-        assert_eq!(b.rows(), self.dim());
-        triangular::solve_lower_matrix(&self.l, b);
-        triangular::solve_lower_transpose_matrix(&self.l, b);
-    }
-
     /// Forward half-solve `L V = B`, overwriting `B` with `V`. Since
     /// `A = L Lᵀ`, the column norms of `V` give `bᵀ A⁻¹ b = ‖L⁻¹ b‖²`
     /// directly — the variance-reduction quadratic form of batched GP
@@ -660,22 +649,6 @@ mod tests {
         let x = c.solve(&b);
         for i in 0..9 {
             assert!((x[i] - x_true[i]).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn solve_matrix_matches_vector_solves() {
-        let a = spd(7);
-        let c = Cholesky::factor(&a).unwrap();
-        let b = Matrix::from_fn(7, 3, |i, j| (i + j) as f64);
-        let mut bm = b.clone();
-        c.solve_matrix_in_place(&mut bm);
-        for j in 0..3 {
-            let col: Vec<f64> = b.col(j);
-            let x = c.solve(&col);
-            for i in 0..7 {
-                assert!((bm.get(i, j) - x[i]).abs() < 1e-10);
-            }
         }
     }
 

@@ -43,23 +43,6 @@ pub fn solve_lower_transpose(l: &Matrix, b: &mut [f64]) {
     }
 }
 
-/// Solves `U x = b` in place where `U` is upper triangular (only the upper
-/// triangle of `u` is referenced).
-pub fn solve_upper(u: &Matrix, b: &mut [f64]) {
-    let n = u.rows();
-    assert!(u.is_square() && b.len() == n, "solve_upper: dims");
-    for i in (0..n).rev() {
-        let row = u.row(i);
-        let mut s = b[i];
-        for j in (i + 1)..n {
-            s -= row[j] * b[j];
-        }
-        let d = row[i];
-        assert!(!feq(d, 0.0), "solve_upper: zero diagonal at {i}");
-        b[i] = s / d;
-    }
-}
-
 /// Solves `L X = B` row-sweep-wise, overwriting `B` with the solution.
 /// This is the `trsm` of the batched GP prediction.
 ///
@@ -97,76 +80,6 @@ pub fn solve_lower_matrix(l: &Matrix, b: &mut Matrix) {
         }
         for (dst, &x) in b.row_mut(i).iter_mut().zip(&acc) {
             *dst = x / diag;
-        }
-    }
-}
-
-/// Solves `X Lᵀ = B` in place (right-side trsm with the transposed factor),
-/// i.e. each row `x` of `X` satisfies `L x = b` for the matching row of `B`.
-pub fn solve_lower_transpose_right(l: &Matrix, b: &mut Matrix) {
-    let n = l.rows();
-    assert!(
-        l.is_square() && b.cols() == n,
-        "solve_lower_transpose_right: dims"
-    );
-    for r in 0..b.rows() {
-        let row = b.row_mut(r);
-        // Solve L x = rowᵀ by forward substitution over columns.
-        for i in 0..n {
-            let mut s = row[i];
-            for j in 0..i {
-                s -= l.get(i, j) * row[j];
-            }
-            row[i] = s / l.get(i, i);
-        }
-    }
-}
-
-/// Solves `Lᵀ X = B` for a multi-RHS `B`, overwriting `B` with the
-/// solution. Row-sweep form: every inner update is a stride-1 combination
-/// across all right-hand sides, which is what makes the blocked BLAS-3
-/// prediction path vectorize. The per-column operation order matches
-/// [`solve_lower_transpose`] exactly (ascending `j` from `i+1`), so each
-/// column equals the corresponding vector solve.
-pub fn solve_lower_transpose_matrix(l: &Matrix, b: &mut Matrix) {
-    let n = l.rows();
-    assert!(
-        l.is_square() && b.rows() == n,
-        "solve_lower_transpose_matrix: dims"
-    );
-    let mut acc = vec![0.0; b.cols()];
-    for i in (0..n).rev() {
-        acc.copy_from_slice(b.row(i));
-        let mut j = i + 1;
-        while j + 4 <= n {
-            let (l0, l1, l2, l3) = (
-                l.get(j, i),
-                l.get(j + 1, i),
-                l.get(j + 2, i),
-                l.get(j + 3, i),
-            );
-            let (r0, r1, r2, r3) = (b.row(j), b.row(j + 1), b.row(j + 2), b.row(j + 3));
-            for ((((x, &y0), &y1), &y2), &y3) in acc.iter_mut().zip(r0).zip(r1).zip(r2).zip(r3) {
-                *x = (((*x - l0 * y0) - l1 * y1) - l2 * y2) - l3 * y3;
-            }
-            j += 4;
-        }
-        while j < n {
-            let lji = l.get(j, i);
-            if !feq(lji, 0.0) {
-                for (x, &y) in acc.iter_mut().zip(b.row(j)) {
-                    *x -= lji * y;
-                }
-            }
-            j += 1;
-        }
-        let d = l.get(i, i);
-        assert!(
-            !feq(d, 0.0),
-            "solve_lower_transpose_matrix: zero diagonal at {i}"
-        );
-        for (dst, &x) in b.row_mut(i).iter_mut().zip(&acc) {
-            *dst = x / d;
         }
     }
 }
@@ -300,20 +213,6 @@ mod tests {
     }
 
     #[test]
-    fn solve_upper_known() {
-        let u = lower3().transpose();
-        let x = [2.0, 0.5, -1.0];
-        let mut b = vec![0.0; 3];
-        for i in 0..3 {
-            b[i] = (0..3).map(|j| u.get(i, j) * x[j]).sum();
-        }
-        solve_upper(&u, &mut b);
-        for i in 0..3 {
-            assert!((b[i] - x[i]).abs() < 1e-13);
-        }
-    }
-
-    #[test]
     fn solve_lower_matrix_matches_vector_solves() {
         let l = lower3();
         let x_true = Matrix::from_rows(&[&[1.0, 4.0], &[2.0, 5.0], &[3.0, 6.0]]);
@@ -321,20 +220,6 @@ mod tests {
         solve_lower_matrix(&l, &mut b);
         for i in 0..3 {
             for j in 0..2 {
-                assert!((b.get(i, j) - x_true.get(i, j)).abs() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
-    fn solve_right_transpose() {
-        let l = lower3();
-        // X L^T = B with X known
-        let x_true = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[0.0, -1.0, 1.0]]);
-        let mut b = matmul(&x_true, &l.transpose());
-        solve_lower_transpose_right(&l, &mut b);
-        for i in 0..2 {
-            for j in 0..3 {
                 assert!((b.get(i, j) - x_true.get(i, j)).abs() < 1e-12);
             }
         }

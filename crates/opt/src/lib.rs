@@ -1,17 +1,21 @@
 //! Optimization substrate for GPTune-rs.
 //!
-//! GPTune leans on three distinct optimizer families (paper Secs. 3–5):
+//! GPTune and its baselines lean on four optimizer families (paper
+//! Secs. 3–5):
 //!
 //! 1. **Gradient-based** — [`lbfgs`] maximizes the LCM log-likelihood in the
 //!    modeling phase (the paper uses L-BFGS with random multi-starts).
 //! 2. **Evolutionary / swarm** — [`pso`] maximizes the Expected-Improvement
 //!    acquisition in the search phase; [`nsga2`] performs the multi-objective
 //!    search of Algorithm 2.
-//! 3. **Model-free baselines** — [`de`], [`ga`], [`sa`], [`nelder_mead`],
-//!    [`random_search`], and the [`bandit`] meta-technique reproduce the
-//!    OpenTuner technique ensemble; [`tpe`] reproduces HpBandSter's Tree
-//!    Parzen Estimator; [`forest`] provides the random-forest surrogate
-//!    behind the SuRf baseline.
+//! 3. **Alternative search methods** — [`de`] (differential evolution)
+//!    and [`cmaes`] run the MLA search phase when its `SearchMethod` is
+//!    `DifferentialEvolution` or `Cmaes`.
+//! 4. **Baseline components** — the [`bandit`] meta-technique allocates
+//!    the OpenTuner-style ensemble's evaluations (its six proposal
+//!    techniques live in `gptune_baselines::opentuner`); [`tpe`]
+//!    reproduces HpBandSter's Tree Parzen Estimator; [`forest`] provides
+//!    the random-forest surrogate behind the SuRf baseline.
 //!
 //! Every derivative-free optimizer works on a box domain (by convention the
 //! unit hypercube that `gptune-space` normalizes into) and **minimizes** its
@@ -26,13 +30,9 @@ pub mod bandit;
 pub mod cmaes;
 pub mod de;
 pub mod forest;
-pub mod ga;
 pub mod lbfgs;
-pub mod nelder_mead;
 pub mod nsga2;
 pub mod pso;
-pub mod random_search;
-pub mod sa;
 pub mod tpe;
 
 /// Outcome of a scalar box-constrained minimization.

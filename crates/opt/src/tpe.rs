@@ -85,7 +85,7 @@ pub fn propose(
         let base = good[rng.gen_range(0..good.len())];
         let cand: Vec<f64> = (0..dim)
             .map(|d| {
-                let jitter = crate::ga::gaussian(rng) * BANDWIDTH_FACTOR * bw_good[d];
+                let jitter = rng.gaussian() * BANDWIDTH_FACTOR * bw_good[d];
                 (base[d] + jitter).clamp(0.0, 1.0)
             })
             .collect();

@@ -4,7 +4,8 @@
 //! [`splitmix64`], the same mixer the simulators, the chaos proxy and the
 //! serve client use for their stateless hashes. The surface is exactly
 //! what the tuner draws: `seed_from_u64`, `next_u64`, `gen::<f64|u64>`,
-//! `gen_range` over integer and `f64` ranges, and slice `shuffle`.
+//! `gen_range` over integer and `f64` ranges, Box–Muller `gaussian`, and
+//! slice `shuffle`.
 //!
 //! The arithmetic is fixed, so a seed names one stream on every build:
 //! `gen::<f64>` takes the top 53 bits, integer `gen_range` is the
@@ -131,6 +132,14 @@ pub trait Rng: RngCore {
 
     fn gen_range<T, S: SampleRange<T>>(&mut self, range: S) -> T {
         range.sample(self)
+    }
+
+    /// A standard normal deviate by Box–Muller: two uniform draws, the
+    /// first floored at `1e-300` so its logarithm stays finite.
+    fn gaussian(&mut self) -> f64 {
+        let u1: f64 = self.gen::<f64>().max(1e-300);
+        let u2: f64 = self.gen();
+        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
     }
 }
 
@@ -285,6 +294,17 @@ mod tests {
         assert_eq!(next(), 6_457_827_717_110_365_317);
         assert_eq!(next(), 3_203_168_211_198_807_973);
         assert_eq!(next(), 9_817_491_932_198_370_423);
+    }
+
+    #[test]
+    fn gaussian_has_unit_moments() {
+        let mut rng = StdRng::seed_from_u64(6);
+        let n = 20_000;
+        let xs: Vec<f64> = (0..n).map(|_| rng.gaussian()).collect();
+        let mean = xs.iter().sum::<f64>() / n as f64;
+        let var = xs.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n as f64;
+        assert!(mean.abs() < 0.03, "mean {mean}");
+        assert!((var - 1.0).abs() < 0.05, "var {var}");
     }
 
     #[test]

@@ -8,16 +8,19 @@
 //!
 //! [`PhaseTimer`] is the single time authority for phase walls: each timed
 //! closure is measured once and the measurement is published twice — into
-//! the mutex-guarded [`PhaseStats`] accumulator (the authoritative
-//! checkpoint-restorable totals) and into the process-global
-//! [`gptune_trace`] tracer as a `gptune.core.<phase>` span plus
-//! `gptune.core.*` metrics. Because both views share one measurement,
-//! summing the phase spans of a trace reproduces the `stats:` line
-//! exactly; [`PhaseStats::from_metrics`] rebuilds the same totals from a
-//! metrics snapshot.
+//! the mutex-guarded [`PhaseStats`] accumulator and into the [`gptune_trace`]
+//! tracer as a `gptune.core.<phase>` span. Because both share one
+//! measurement, the phase spans of a trace sum to the `stats:` line's
+//! walls exactly. Evaluation and failure counts also go to `gptune.core.*`
+//! counters.
+//!
+//! The accumulator stays the authority rather than a view over the
+//! tracer: the global tracer is disabled by default, and a run resumed
+//! from a checkpoint restores totals that this process's registry never
+//! saw.
 
 use crate::fault::FailureKind;
-use gptune_trace::{CounterHandle, Field, GaugeHandle, HistogramHandle, MetricsSnapshot, Tracer};
+use gptune_trace::{CounterHandle, Field, GaugeHandle, Tracer};
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -33,20 +36,12 @@ pub enum Phase {
 }
 
 impl Phase {
-    /// The span/metric name for this phase (`gptune.core.<phase>`).
+    /// The span name for this phase (`gptune.core.<phase>`).
     pub fn span_name(self) -> &'static str {
         match self {
             Phase::Objective => "gptune.core.objective",
             Phase::Modeling => "gptune.core.modeling",
             Phase::Search => "gptune.core.search",
-        }
-    }
-
-    fn histogram_name(self) -> &'static str {
-        match self {
-            Phase::Objective => "gptune.core.phase.objective",
-            Phase::Modeling => "gptune.core.phase.modeling",
-            Phase::Search => "gptune.core.phase.search",
         }
     }
 }
@@ -90,31 +85,6 @@ impl PhaseStats {
         self.n_crashed + self.n_timed_out + self.n_invalid + self.n_transient
     }
 
-    /// Rebuilds the stats as a view over the tracer's `gptune.core.*`
-    /// metrics, the inverse of [`PhaseTimer`]'s dual publishing. For a
-    /// single timer recording into a fresh tracer this equals
-    /// [`PhaseTimer::snapshot`] exactly (same measurements, same
-    /// arithmetic); after a checkpoint resume only the snapshot carries
-    /// the pre-resume totals (metrics cover the current process).
-    pub fn from_metrics(m: &MetricsSnapshot) -> PhaseStats {
-        let count = |name: &str| m.counter(name).unwrap_or(0) as usize;
-        let wall = |phase: Phase| {
-            Duration::from_nanos(m.histogram(phase.histogram_name()).map_or(0, |h| h.sum))
-        };
-        PhaseStats {
-            objective_virtual_secs: m.gauge("gptune.core.objective_virtual_secs").unwrap_or(0.0),
-            objective_wall: wall(Phase::Objective),
-            modeling_wall: wall(Phase::Modeling),
-            search_wall: wall(Phase::Search),
-            n_evals: count("gptune.core.evals"),
-            n_crashed: count("gptune.core.failures.crashed"),
-            n_timed_out: count("gptune.core.failures.timed_out"),
-            n_invalid: count("gptune.core.failures.invalid"),
-            n_transient: count("gptune.core.failures.transient"),
-            n_retries: count("gptune.core.retries"),
-        }
-    }
-
     /// One-line report in the GPTune runlog style. Runs that saw
     /// failures or retries append their failure profile.
     pub fn report(&self) -> String {
@@ -136,7 +106,8 @@ impl PhaseStats {
     }
 }
 
-/// Per-phase metric handles, fetched once at timer construction.
+/// Count and virtual-time metric handles, fetched once at timer
+/// construction.
 #[derive(Debug)]
 struct PhaseMetrics {
     evals: CounterHandle,
@@ -146,9 +117,6 @@ struct PhaseMetrics {
     invalid: CounterHandle,
     transient: CounterHandle,
     virtual_secs: GaugeHandle,
-    objective_wall: HistogramHandle,
-    modeling_wall: HistogramHandle,
-    search_wall: HistogramHandle,
 }
 
 impl PhaseMetrics {
@@ -161,23 +129,12 @@ impl PhaseMetrics {
             invalid: tracer.counter("gptune.core.failures.invalid"),
             transient: tracer.counter("gptune.core.failures.transient"),
             virtual_secs: tracer.gauge("gptune.core.objective_virtual_secs"),
-            objective_wall: tracer.histogram(Phase::Objective.histogram_name()),
-            modeling_wall: tracer.histogram(Phase::Modeling.histogram_name()),
-            search_wall: tracer.histogram(Phase::Search.histogram_name()),
-        }
-    }
-
-    fn wall(&self, phase: Phase) -> &HistogramHandle {
-        match phase {
-            Phase::Objective => &self.objective_wall,
-            Phase::Modeling => &self.modeling_wall,
-            Phase::Search => &self.search_wall,
         }
     }
 }
 
-/// Thread-safe accumulator for [`PhaseStats`], dual-publishing every
-/// measurement to the tracer (phase spans + metrics).
+/// Thread-safe accumulator for [`PhaseStats`], publishing every phase
+/// measurement to the tracer as a span and every count as a metric.
 #[derive(Debug)]
 pub struct PhaseTimer {
     inner: Mutex<PhaseStats>,
@@ -248,7 +205,6 @@ impl PhaseTimer {
                 Phase::Search => s.search_wall += dt,
             }
         }
-        self.metrics.wall(phase).record_duration(dt);
         let fields = iteration
             .map(|it| vec![("iteration".into(), Field::U64(it))])
             .unwrap_or_default();
@@ -517,23 +473,64 @@ mod tests {
     }
 
     #[test]
-    fn dual_published_metrics_reproduce_the_snapshot() {
+    fn spans_and_counters_reproduce_the_snapshot() {
         let tracer = Tracer::ring(64);
         let t = PhaseTimer::with_tracer(tracer.clone());
         t.add_objective_run(1.5);
         t.add_objective_run(0.5);
         t.add_failure(FailureKind::TimedOut);
+        t.add_failure(FailureKind::Crashed);
         t.add_retries(2);
         t.time(Phase::Modeling, || {
             std::thread::sleep(Duration::from_millis(5))
         });
+        t.time(Phase::Modeling, || ());
         let (_, dt) = t.time_iter(Phase::Search, 3, || ());
+        t.time(Phase::Objective, || ());
         assert!(dt < Duration::from_secs(1));
-        // The metrics view rebuilds the exact same stats.
-        let view = PhaseStats::from_metrics(&tracer.metrics());
-        assert_eq!(view, t.snapshot());
-        // Phase spans landed on the trace, tagged with the iteration.
+        let s = t.snapshot();
         let data = tracer.drain();
+        // Each phase's spans sum to its wall exactly: one measurement
+        // feeds both.
+        let span_sum = |phase: Phase| {
+            Duration::from_nanos(
+                data.events
+                    .iter()
+                    .filter(|e| e.name == phase.span_name())
+                    .map(|e| e.dur_ns().unwrap())
+                    .sum(),
+            )
+        };
+        assert_eq!(span_sum(Phase::Objective), s.objective_wall);
+        assert_eq!(span_sum(Phase::Modeling), s.modeling_wall);
+        assert_eq!(span_sum(Phase::Search), s.search_wall);
+        assert!(s.modeling_wall >= Duration::from_millis(5));
+        // The counters carry the snapshot's counts.
+        let m = &data.metrics;
+        let count = |v: Option<u64>| v.unwrap_or(0) as usize;
+        assert_eq!(count(m.counter("gptune.core.evals")), s.n_evals);
+        assert_eq!(count(m.counter("gptune.core.retries")), s.n_retries);
+        assert_eq!(
+            count(m.counter("gptune.core.failures.crashed")),
+            s.n_crashed
+        );
+        assert_eq!(
+            count(m.counter("gptune.core.failures.timed_out")),
+            s.n_timed_out
+        );
+        assert_eq!(
+            count(m.counter("gptune.core.failures.invalid")),
+            s.n_invalid
+        );
+        assert_eq!(
+            count(m.counter("gptune.core.failures.transient")),
+            s.n_transient
+        );
+        assert_eq!(
+            m.gauge("gptune.core.objective_virtual_secs"),
+            Some(s.objective_virtual_secs)
+        );
+        // Phase spans carry the iteration tag.
         let search = data
             .events
             .iter()
@@ -544,7 +541,6 @@ mod tests {
             Some(3),
             "iteration tag on phase span"
         );
-        assert!(data.events.iter().any(|e| e.name == "gptune.core.modeling"));
     }
 
     #[test]

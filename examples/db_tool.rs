@@ -17,9 +17,8 @@
 //!   Shard-aware on both sides: the source's shards and live journal are
 //!   read together, and entries already present anywhere in the
 //!   destination (shards or live journal) are skipped;
-//! * `compact` — deduplicates and heals every journal in place; for
-//!   sharded problems this also drops live-journal entries already
-//!   archived in shards;
+//! * `compact` — deduplicates and heals every live journal in place,
+//!   dropping entries the problem's archive shards already hold;
 //! * `shard` — splits one problem's accumulated history into archive
 //!   shards (task-range `by-task` or append-order `window:<n>`), writes
 //!   the manifest, and empties the live journal;
@@ -29,7 +28,7 @@
 //!   the command fails and removes the output;
 //! * `export` — prints a journal's evaluation records as CSV on stdout.
 
-use gptune::db::{journal, journal_v2, Db, DbEntry, DbValue, LockOptions, ShardPolicy};
+use gptune::db::{journal, journal_v2, Db, DbEntry, DbValue, ShardPolicy};
 use std::path::Path;
 
 fn main() {
@@ -188,19 +187,13 @@ fn merge(dst_root: &Path, src_root: &Path) -> std::io::Result<()> {
 
 fn compact(root: &Path) -> std::io::Result<()> {
     let db = Db::open(root)?;
-    let lock = LockOptions::default();
     for (name, _) in db.journals()? {
-        match parse_journal_name(&name) {
-            // Sharded problems: also drop live entries already archived.
-            Some((problem, sig)) if db.shard_manifest(&problem, sig)?.is_some() => {
-                let (kept, dropped) = gptune::db::shard::compact_live(root, &problem, sig, &lock)?;
-                println!("  {name}: kept {kept}, dropped {dropped} (shard-aware)");
-            }
-            _ => {
-                let (kept, dropped) = journal::compact(&root.join(&name), &lock)?;
-                println!("  {name}: kept {kept}, dropped {dropped}");
-            }
-        }
+        let Some((problem, sig)) = parse_journal_name(&name) else {
+            eprintln!("  {name}: skipped (not a live journal)");
+            continue;
+        };
+        let (kept, dropped) = db.compact(&problem, sig)?;
+        println!("  {name}: kept {kept}, dropped {dropped}");
     }
     Ok(())
 }

@@ -8,8 +8,12 @@
 //! gptune-cli tune --app pdgeqrf --nodes 4 --budget 10 \
 //!                 --tasks 8000x8000,12000x6000 --seed 1 --model
 //! gptune-cli tune --app superlu_dist --tasks Si2,SiH4 --multi-objective
-//! gptune-cli tune --app hypre --tasks 50x50x50 --history hypre.json
+//! gptune-cli tune --app hypre --tasks 50x50x50 --db hypre-archive
 //! ```
+//!
+//! With `--db` the run archives its evaluations into a `gptune-db`
+//! directory, the store warm starts and transfer learning read, and the
+//! runlog ends with the archive's per-run summaries.
 //!
 //! Argument parsing is hand-rolled (no extra dependency) and lives here so
 //! it is unit-testable; the `gptune-cli` binary is a thin wrapper.
@@ -18,7 +22,7 @@ use crate::apps::{
     AnalyticalApp, HpcApp, HypreApp, M3dc1App, MachineModel, NimrodApp, PdgeqrfApp, PdsyevxApp,
     SuperluApp, PARSEC_MATRICES,
 };
-use crate::core::{mla, mla_mo, runlog, History, MlaOptions};
+use crate::core::{mla, mla_mo, runlog, MlaOptions};
 use crate::space::Value;
 use crate::{problem_from_app, problem_from_app_objective};
 use std::sync::Arc;
@@ -51,8 +55,8 @@ pub struct TuneArgs {
     pub model: bool,
     /// Run the multi-objective tuner (Algorithm 2) for γ > 1 apps.
     pub multi_objective: bool,
-    /// Optional path to save the tuning history as JSON.
-    pub history: Option<String>,
+    /// Optional `gptune-db` archive directory the run archives into.
+    pub db: Option<String>,
 }
 
 impl Default for TuneArgs {
@@ -65,7 +69,7 @@ impl Default for TuneArgs {
             seed: 0,
             model: false,
             multi_objective: false,
-            history: None,
+            db: None,
         }
     }
 }
@@ -107,7 +111,7 @@ pub fn parse_tune_args(args: &[String]) -> Result<TuneArgs, String> {
             }
             "--model" => out.model = true,
             "--multi-objective" => out.multi_objective = true,
-            "--history" => out.history = Some(value("--history")?),
+            "--db" => out.db = Some(value("--db")?),
             other => return Err(format!("unknown flag: {other}")),
         }
     }
@@ -224,31 +228,26 @@ pub fn run_tune(args: &TuneArgs) -> Result<String, String> {
         opts.log_objective = false;
     }
 
-    let (log, history) = if args.multi_objective && app.n_objectives() > 1 {
-        let problem = problem_from_app(Arc::clone(&app), tasks);
-        let result = mla_mo::tune_multiobjective(&problem, &opts);
-        let mut h = History::new(&problem.name);
-        for tr in &result.per_task {
-            for (cfg, outs) in &tr.samples {
-                h.push(tr.task.clone(), cfg.clone(), outs.clone());
-            }
-        }
-        (runlog::format_mla_mo(&problem, &result), h)
-    } else {
-        let problem = if app.n_objectives() > 1 {
-            problem_from_app_objective(Arc::clone(&app), tasks, 0)
-        } else {
-            problem_from_app(Arc::clone(&app), tasks)
-        };
-        let result = mla::tune(&problem, &opts);
-        let h = History::from_mla(&problem.name, &result);
-        (runlog::format_mla(&problem, &result), h)
-    };
+    if let Some(db) = &args.db {
+        crate::db::Db::open(db).map_err(|e| format!("cannot open archive {db}: {e}"))?;
+        opts = opts.with_db(db);
+    }
 
-    if let Some(path) = &args.history {
-        history
-            .save(std::path::Path::new(path))
-            .map_err(|e| format!("failed to save history to {path}: {e}"))?;
+    let multi_objective = args.multi_objective && app.n_objectives() > 1;
+    let problem = if app.n_objectives() > 1 && !multi_objective {
+        problem_from_app_objective(Arc::clone(&app), tasks, 0)
+    } else {
+        problem_from_app(Arc::clone(&app), tasks)
+    };
+    let mut log = if multi_objective {
+        runlog::format_mla_mo(&problem, &mla_mo::tune_multiobjective(&problem, &opts))
+    } else {
+        runlog::format_mla(&problem, &mla::tune(&problem, &opts))
+    };
+    if let Some(db) = &args.db {
+        let archived = runlog::format_archived_runs(&problem, std::path::Path::new(db))
+            .map_err(|e| format!("cannot read archive {db}: {e}"))?;
+        log.push_str(&archived);
     }
     Ok(log)
 }
@@ -271,7 +270,8 @@ pub fn usage() -> String {
          \u{20}   --seed <s>          RNG seed (default 0)\n\
          \u{20}   --model             use the app's coarse performance model (Sec. 3.3)\n\
          \u{20}   --multi-objective   Pareto tuning for multi-output apps (Algorithm 2)\n\
-         \u{20}   --history <file>    archive the samples as JSON (reusable by TLA)\n",
+         \u{20}   --db <dir>          archive the run in a gptune-db directory (read by warm\n\
+         \u{20}                       starts and TLA) and print the archive's run summaries\n",
         APP_NAMES.join(", ")
     )
 }
@@ -298,6 +298,8 @@ mod tests {
             "--seed",
             "7",
             "--model",
+            "--db",
+            "archive",
         ]))
         .unwrap();
         assert_eq!(a.app, "pdgeqrf");
@@ -307,6 +309,7 @@ mod tests {
         assert_eq!(a.seed, 7);
         assert!(a.model);
         assert!(!a.multi_objective);
+        assert_eq!(a.db.as_deref(), Some("archive"));
     }
 
     #[test]
@@ -367,9 +370,8 @@ mod tests {
 
     #[test]
     fn run_tune_multiobjective_and_history() {
-        let dir = std::env::temp_dir().join("gptune_cli_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("h.json");
+        let dir = std::env::temp_dir().join(format!("gptune_cli_db_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         let args = TuneArgs {
             app: "superlu_dist".into(),
             nodes: 2,
@@ -377,14 +379,26 @@ mod tests {
             tasks: vec!["Si2".into()],
             seed: 1,
             multi_objective: true,
-            history: Some(path.to_string_lossy().into_owned()),
+            db: Some(dir.to_string_lossy().into_owned()),
             ..Default::default()
         };
         let log = run_tune(&args).unwrap();
         assert!(log.contains("Pareto"), "{log}");
-        let h = History::load(&path).unwrap();
-        assert!(h.len() >= 8);
-        std::fs::remove_file(&path).ok();
+        // The run archived every evaluation with both objectives, and the
+        // runlog ends with the archive's summary of it.
+        let problem = crate::problem_from_app(
+            build_app("superlu_dist", 2),
+            vec![parse_task("superlu_dist", "Si2").unwrap()],
+        );
+        let h = crate::core::history_from_db(&dir, &problem).unwrap();
+        assert!(h.len() >= 8, "{} archived", h.len());
+        assert!(h.records.iter().all(|r| r.outputs.len() == 2));
+        assert!(
+            log.contains(&format!("archived evals: {}", h.len())),
+            "{log}"
+        );
+        assert_eq!(log.matches("stats:").count(), 2, "{log}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1,10 +1,11 @@
-//! Integration tests for the history database and baseline tuners used in
-//! the comparison experiments (Fig. 6, Table 4).
+//! Integration tests for the history archive and the baseline tuners used
+//! in the comparison experiments (Fig. 6, Table 4).
 
 use gptune::apps::{HpcApp, HypreApp, MachineModel, PdgeqrfApp};
-use gptune::baselines::{HpBandSterLike, OpenTunerLike, RandomTuner, Tuner};
-use gptune::core::{metrics, mla, History, MlaOptions};
+use gptune::baselines::{HpBandSterLike, OpenTunerLike, RandomTuner, Tuner, TunerRun};
+use gptune::core::{history_from_db, metrics, mla, History, MlaOptions};
 use gptune::problem_from_app;
+use gptune::rng::splitmix64;
 use gptune::space::Value;
 use std::sync::Arc;
 
@@ -22,22 +23,21 @@ fn history_roundtrips_an_mla_run() {
         Arc::clone(&app),
         vec![vec![Value::Int(4000), Value::Int(4000)]],
     );
-    let r = mla::tune(&problem, &fast_opts(8, 1));
-    let h = History::from_mla(&problem.name, &r);
-    assert_eq!(h.len(), 8);
+    let dir = std::env::temp_dir().join(format!("gptune_it_history_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let r = mla::tune(&problem, &fast_opts(8, 1).with_db(&dir));
+    let live = History::from_mla(&problem.name, &r);
+    assert_eq!(live.len(), 8);
 
-    let dir = std::env::temp_dir().join("gptune_it_history");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("run.json");
-    h.save(&path).unwrap();
-    let loaded = History::load(&path).unwrap();
-    assert_eq!(h, loaded);
-    // The archived best matches the run's best.
+    // The run archived itself; reading the archive back yields the same
+    // records, and their best matches the run's best.
+    let loaded = history_from_db(&dir, &problem).unwrap();
+    assert_eq!(loaded, live);
     let best = loaded
         .best_for_task(&[Value::Int(4000), Value::Int(4000)])
         .unwrap();
     assert_eq!(best.outputs[0], r.per_task[0].best_value);
-    std::fs::remove_file(&path).ok();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -59,6 +59,43 @@ fn all_baselines_run_all_apps_budget_exactly() {
         for (c, _) in &run.samples {
             assert!(problem.tuning_space.is_valid(c), "{}", t.name());
         }
+    }
+}
+
+/// Folds every sample of a run (config values, then the objective's bits)
+/// into one word, so any change to a tuner's random stream shows.
+fn stream_hash(run: &TunerRun) -> u64 {
+    let mut h = 0u64;
+    for (cfg, y) in &run.samples {
+        for v in cfg {
+            let bits = match v {
+                Value::Real(x) => x.to_bits(),
+                Value::Int(i) => *i as u64,
+                Value::Cat(k) => *k as u64,
+            };
+            h = splitmix64(h ^ bits);
+        }
+        h = splitmix64(h ^ y.to_bits());
+    }
+    h
+}
+
+#[test]
+fn baseline_sample_streams_are_pinned() {
+    // OpenTuner's mutation/jitter techniques and HpBandSter's TPE draw
+    // normal deviates; these hashes pin their 40-sample streams.
+    let app: Arc<dyn HpcApp> = Arc::new(HypreApp::new(MachineModel::cori(1)));
+    let problem = problem_from_app(
+        Arc::clone(&app),
+        vec![vec![Value::Int(30), Value::Int(30), Value::Int(30)]],
+    );
+    for (tuner, want) in [
+        (&OpenTunerLike::default() as &dyn Tuner, 0x58628dc340019480),
+        (&HpBandSterLike::default(), 0xc54e8302363a126c),
+    ] {
+        let run = tuner.tune_task(&problem, 0, 40, 7);
+        assert_eq!(run.samples.len(), 40);
+        assert_eq!(stream_hash(&run), want, "{}", tuner.name());
     }
 }
 

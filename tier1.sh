@@ -63,6 +63,15 @@ if [ "$modeling_spans" -lt 5 ]; then
   echo "trace smoke: expected >= 1 modeling span per iteration (5), got $modeling_spans" >&2
   exit 1
 fi
+# CLI archive smoke gate: `gptune-cli tune --db` must archive all 6
+# evaluations of a one-task run and print the archive's summary.
+cli_out="$(cargo run --offline --locked -q --release --bin gptune-cli -- tune --app pdgeqrf \
+  --tasks 8000x8000 --budget 6 --db "$trace_dir/cli_db")"
+if ! echo "$cli_out" | grep -q 'archived evals: 6$'; then
+  echo "cli smoke: expected 'archived evals: 6' in the runlog" >&2
+  echo "$cli_out" >&2
+  exit 1
+fi
 # Serve smoke gate: a scaled-down serve_bench burst (32 concurrent
 # sessions over 8 client connections) plus the kill-the-server WAL-replay,
 # archive kill-restart, and eviction drills. The binary exits non-zero on
