@@ -110,7 +110,7 @@ fn run() {
             inc.extend(&xs[m - 1..m], &task_of[m - 1..m], &y[m - 1..m])
                 .expect("timed extension");
             let inc_ns = t.elapsed().as_nanos() as f64;
-            sink += inc.nll_from_factor();
+            sink += inc.nll();
 
             let t = Instant::now();
             let scratch = LcmModel::from_hyperparams(
@@ -123,7 +123,7 @@ fn run() {
                 None,
             );
             let scr_ns = t.elapsed().as_nanos() as f64;
-            sink += scratch.nll_from_factor();
+            sink += scratch.nll();
 
             t_inc.push(inc_ns);
             t_scr.push(scr_ns);

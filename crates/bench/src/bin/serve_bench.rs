@@ -17,12 +17,20 @@
 //!   bit-identical sorted history versus an uninterrupted run;
 //! * an eviction drill: ≥ 1024 logical sessions share a resident table
 //!   capped far below the fleet size; the cap must hold throughout and
-//!   every evicted session must come back from the archive intact.
+//!   every evicted session must come back from the archive intact;
+//! * a restore drill: a server holding 64 archived sessions, each driven
+//!   past its first model-guided refit, drains; a replacement re-opens
+//!   every session, and each `open_session` (history replay plus the
+//!   surrogate rebuilt from its saved image) is timed (p50/p99). The
+//!   `gptune.gp.fit` spans opened meanwhile count hyperparameter
+//!   optimizations a restore re-ran (`fits_during_open`), which must be 0.
 //!
 //! Usage: `serve_bench [output.json] [--smoke]` — `--smoke` shrinks the
 //! fleet for the tier-1 gate while exercising every phase.
 
-use gptune::serve::{serve, BackoffPolicy, ProblemSpec, ServeClient, ServeOptions, SessionOptions};
+use gptune::serve::{
+    serve, BackoffPolicy, ProblemSpec, ServeClient, ServeOptions, SessionOptions, SessionStore,
+};
 use gptune::space::{Param, Value};
 use gptune::trace::{self, Tracer};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -371,6 +379,103 @@ fn run_eviction_drill(logical: usize, cap: usize, tmp: &std::path::Path) -> Evic
     }
 }
 
+struct RestoreStats {
+    sessions: usize,
+    model_images: usize,
+    open_p50_us: u64,
+    open_p99_us: u64,
+    fits_during_open: usize,
+    events_dropped: u64,
+}
+
+/// Suggest/report rounds each restore-drill session runs before the drain:
+/// the two tasks' initial designs (2 configurations each), then three
+/// model-guided rounds, each of which refits the surrogate.
+const RESTORE_ROUNDS: usize = 7;
+
+/// The restart-latency drill. `sessions` archived sessions are driven past
+/// their first model-guided refit and drained; a replacement server on the
+/// same archive re-opens each one. Every `open_session` restores its
+/// session (journal replay plus the surrogate rebuilt from the meta
+/// file's image) and is timed at the client. The trace of the open phase
+/// counts `gptune.gp.fit` spans: a restore that re-runs a hyperparameter
+/// optimization shows up there.
+fn run_restore_drill(sessions: usize, tmp: &std::path::Path) -> RestoreStats {
+    let root = tmp.join(format!("serve_bench_restore_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let opts = || ServeOptions {
+        workers: 2,
+        archive: Some(root.clone()),
+        ..ServeOptions::default()
+    };
+    let sess = |s: usize| SessionOptions {
+        seed: s as u64,
+        n_initial: Some(2),
+    };
+    let server = serve("127.0.0.1:0", opts()).expect("bind restore drill");
+    let mut client = ServeClient::connect(server.local_addr()).expect("connect");
+    for s in 0..sessions {
+        client
+            .open_session("restore", &spec_for(s), &sess(s))
+            .expect("open restore-drill session");
+        for r in 0..RESTORE_ROUNDS {
+            let task = r % 2;
+            let cfg = client.suggest(task).expect("suggest");
+            let y: f64 = 1.0
+                + 0.1 * task as f64
+                + [0.3, 0.6]
+                    .iter()
+                    .zip(&cfg)
+                    .map(|(c, v)| (v.as_real() - c).powi(2))
+                    .sum::<f64>();
+            client.report(task, &cfg, &[y]).expect("report");
+        }
+    }
+    server.drain();
+    let store = SessionStore::new(&root).expect("open drill archive");
+    let model_images = (0..sessions)
+        .filter(|&s| {
+            store
+                .load("restore", &spec_for(s).name)
+                .ok()
+                .flatten()
+                .is_some_and(|st| st.model_state.is_some())
+        })
+        .count();
+
+    let server = serve("127.0.0.1:0", opts()).expect("rebind restore drill");
+    let mut client = ServeClient::connect(server.local_addr()).expect("reconnect");
+    let tracer = trace::global();
+    let dropped_before = tracer.drain().dropped;
+    let mut open_us: Vec<u64> = (0..sessions)
+        .map(|s| {
+            let t = Instant::now();
+            client
+                .open_session("restore", &spec_for(s), &sess(s))
+                .expect("re-open restore-drill session");
+            t.elapsed().as_micros() as u64
+        })
+        .collect();
+    let open_phase = tracer.drain();
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+    open_us.sort_unstable();
+    // Nearest-rank percentile of the sorted open times.
+    let pct = |q: f64| open_us[((q * sessions as f64).ceil() as usize).clamp(1, sessions) - 1];
+    RestoreStats {
+        sessions,
+        model_images,
+        open_p50_us: pct(0.5),
+        open_p99_us: pct(0.99),
+        fits_during_open: open_phase
+            .events
+            .iter()
+            .filter(|e| e.name.as_ref() == "gptune.gp.fit")
+            .count(),
+        events_dropped: open_phase.dropped - dropped_before,
+    }
+}
+
 fn quantiles(op: &str) -> (u64, u64, u64) {
     let m = trace::global().metrics();
     match m.histogram(&format!("gptune.serve.latency_us.{op}")) {
@@ -402,6 +507,7 @@ fn main() {
     } else {
         (200, 101, 1024, 64)
     };
+    let restore_sessions = if smoke { 8 } else { 64 };
 
     trace::install(Tracer::ring(1 << 12));
 
@@ -430,6 +536,7 @@ fn main() {
     let kill = run_kill_drill(kill_reports, &std::env::temp_dir());
     let archive = run_archive_drill(archive_reports, archive_kill_at, &std::env::temp_dir());
     let evict = run_eviction_drill(evict_logical, evict_cap, &std::env::temp_dir());
+    let restore = run_restore_drill(restore_sessions, &std::env::temp_dir());
 
     let m = trace::global().metrics();
     let counter = |name: &str| m.counter(name).unwrap_or(0);
@@ -450,6 +557,8 @@ fn main() {
          \"lost_reports\": {}, \"bit_identical\": {}}},\n  \
          \"eviction_drill\": {{\"logical_sessions\": {}, \"resident_cap\": {}, \
          \"peak_resident\": {}, \"missing_rows\": {}}},\n  \
+         \"restore_drill\": {{\"sessions\": {}, \"model_images\": {}, \
+         \"open_us\": {{\"p50\": {}, \"p99\": {}}}, \"fits_during_open\": {}}},\n  \
          \"robustness_counters\": {{\"evictions\": {}, \"restores\": {}, \
          \"sheds\": {}, \"timeouts\": {}, \"drains\": {}, \
          \"archive_errors\": {}}}\n}}\n",
@@ -486,6 +595,11 @@ fn main() {
         evict.cap,
         evict.peak_resident,
         evict.missing_rows,
+        restore.sessions,
+        restore.model_images,
+        restore.open_p50_us,
+        restore.open_p99_us,
+        restore.fits_during_open,
         counter("gptune.serve.evictions"),
         counter("gptune.serve.restores"),
         counter("gptune.serve.sheds"),
@@ -539,10 +653,29 @@ fn main() {
             evict.missing_rows, evict.logical
         ));
     }
+    if restore.model_images != restore.sessions {
+        failed.push(format!(
+            "restore drill: {} of {} drained sessions saved a surrogate image",
+            restore.model_images, restore.sessions
+        ));
+    }
+    if restore.events_dropped > 0 {
+        failed.push(format!(
+            "restore drill: the trace ring dropped {} events, so fits_during_open is not a count",
+            restore.events_dropped
+        ));
+    }
+    if restore.fits_during_open > 0 {
+        failed.push(format!(
+            "restore drill: {} hyperparameter fits ran while re-opening {} sessions",
+            restore.fits_during_open, restore.sessions
+        ));
+    }
     if failed.is_empty() {
         eprintln!(
-            "serve_bench: OK ({} concurrent sessions, {} logical under a cap of {}, 0 lost reports)",
-            burst.peak_sessions, evict.logical, evict.cap
+            "serve_bench: OK ({} concurrent sessions, {} logical under a cap of {}, 0 lost reports, \
+             {} restores without a fit)",
+            burst.peak_sessions, evict.logical, evict.cap, restore.sessions
         );
     } else {
         for f in &failed {

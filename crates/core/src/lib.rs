@@ -52,7 +52,7 @@ pub mod session;
 pub mod tla;
 
 pub use db_bridge::{history_from_db, problem_signature};
-pub use gptune_gp::{ModelState, RefitMode, RefitSchedule};
+pub use gptune_gp::{LcmHyperparams, ModelState, RefitMode, RefitSchedule};
 pub use history::History;
 pub use metrics::{hypervolume_2d, mean_stability, stability, win_task};
 pub use mla::{IterationStat, MlaResult, TaskResult};

@@ -51,12 +51,14 @@ impl std::fmt::Display for ReportError {
 
 /// A portable image of a session's durable state: everything a server
 /// needs to rebuild an equivalent [`TunerSession`] after an eviction or a
-/// restart, given the same problem and options. The surrogate itself is
-/// *not* captured — it is a deterministic function of the history and is
-/// refit lazily on the first post-restore suggest. Under an incremental
-/// [`gptune_gp::RefitSchedule`], the small [`ModelState`] replay recipe
-/// rides along so the restored surrogate (last full fit + extensions)
-/// comes out bit-identical instead of collapsing to a fresh full refit.
+/// restart, given the same problem and options. Under the default
+/// always-full [`gptune_gp::RefitSchedule`] the surrogate is *not*
+/// captured: it is a deterministic function of the history and is refit
+/// lazily on the first post-restore suggest. Under an incremental
+/// schedule, a [`ModelState`] image of the surrogate rides along (the
+/// last full fit's hyperparameters and the outputs it has absorbed), so
+/// restore rebuilds it bit-identically with one covariance factorization
+/// and the tail's extensions, instead of collapsing to a fresh full refit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SessionSnapshot {
     /// Suggestion counter at capture time (keeps the post-restore
@@ -67,7 +69,7 @@ pub struct SessionSnapshot {
     pub n_refits: u64,
     /// Accepted reports in arrival order: `(task, config, outputs)`.
     pub history: Vec<(usize, Config, Vec<f64>)>,
-    /// Incremental-surrogate replay recipe; `None` under the default
+    /// Image of the incremental surrogate; `None` under the default
     /// always-full schedule (or when the active-set cap has engaged), in
     /// which case restore refits from history exactly as before.
     pub model_state: Option<ModelState>,
@@ -125,12 +127,17 @@ impl TunerSession {
     }
 
     /// Rebuilds a session from a [`SessionSnapshot`]. The snapshot's
-    /// history is replayed through [`TunerSession::report`] (duplicates
-    /// are absorbed, so replaying an at-least-once archive is safe); any
-    /// other rejection means the snapshot does not match `problem` and is
-    /// returned as the error. The suggestion counter resumes from the
+    /// history is accepted with the same validation and dedup as
+    /// [`TunerSession::report`] (duplicates are absorbed, so replaying an
+    /// at-least-once archive is safe), but without its span or its
+    /// censored-evaluation count: archived rows are not new evaluations.
+    /// Any other rejection means the snapshot does not match `problem` and
+    /// is returned as the error. The suggestion counter resumes from the
     /// snapshot, so the restored session continues the same deterministic
-    /// suggestion stream it would have produced without the eviction.
+    /// suggestion stream it would have produced without the eviction. A
+    /// [`ModelState`] image rebuilds the surrogate without re-optimizing
+    /// ([`gptune_gp::IncrementalLcm::restore`]); without one, or when it
+    /// does not fit the history, the first suggest refits from scratch.
     pub fn restore(
         problem: TuningProblem,
         opts: MlaOptions,
@@ -138,8 +145,8 @@ impl TunerSession {
     ) -> Result<TunerSession, ReportError> {
         let mut s = TunerSession::new(problem, opts);
         for (task, config, outputs) in &snapshot.history {
-            match s.report(*task, config.clone(), outputs.clone()) {
-                Ok(()) | Err(ReportError::Duplicate) => {}
+            match s.accept(*task, config.clone(), outputs.clone()) {
+                Ok(_) | Err(ReportError::Duplicate) => {}
                 Err(e) => return Err(e),
             }
         }
@@ -297,6 +304,26 @@ impl TunerSession {
         let _span = self
             .tag_rid(gptune_trace::global().span("gptune.core.session.report"))
             .with("task", task_idx);
+        // Censored evaluations (failed runs reported as non-finite) are a
+        // model-health signal: a rising rate means the surrogate is being
+        // fit around a shrinking feasible region.
+        if self.accept(task_idx, config, outputs)? {
+            gptune_trace::global()
+                .counter("gptune.core.evals_censored")
+                .add(1);
+        }
+        Ok(())
+    }
+
+    /// Validates, dedups and appends one evaluation, marking the surrogate
+    /// stale; returns whether its outputs are censored (non-finite). The
+    /// step [`report`](Self::report) and [`restore`](Self::restore) share.
+    fn accept(
+        &mut self,
+        task_idx: usize,
+        config: Config,
+        outputs: Vec<f64>,
+    ) -> Result<bool, ReportError> {
         if task_idx >= self.problem.n_tasks() {
             return Err(ReportError::BadTask);
         }
@@ -309,18 +336,11 @@ impl TunerSession {
         if self.evals.contains(task_idx, &config) {
             return Err(ReportError::Duplicate);
         }
-        // Censored evaluations (failed runs reported as non-finite) are a
-        // model-health signal: a rising rate means the surrogate is being
-        // fit around a shrinking feasible region.
-        if outputs.iter().any(|v| !v.is_finite()) {
-            gptune_trace::global()
-                .counter("gptune.core.evals_censored")
-                .add(1);
-        }
+        let censored = outputs.iter().any(|v| !v.is_finite());
         self.evals.points.push((task_idx, config));
         self.evals.outputs.push(outputs);
         self.dirty = true;
-        Ok(())
+        Ok(censored)
     }
 
     /// All reported evaluations, in arrival order.
@@ -553,11 +573,12 @@ mod tests {
         let snap = live.snapshot();
         assert!(
             snap.model_state.is_some(),
-            "incremental schedule snapshots carry a model replay recipe"
+            "incremental schedule snapshots carry a model image"
         );
         let mut restored = TunerSession::restore(p.clone(), o, &snap).unwrap();
-        // The restored surrogate replays the last full fit + extensions, so
-        // the mid-incremental-cycle suggestion stream continues bit-for-bit.
+        // The restored surrogate is rebuilt from the last full fit's
+        // hyperparameters plus the extensions, so the mid-incremental-cycle
+        // suggestion stream continues bit-for-bit.
         for _ in 0..3 {
             let a = live.suggest(0).unwrap();
             let b = restored.suggest(0).unwrap();
@@ -599,9 +620,15 @@ mod tests {
         assert_eq!(err, ReportError::BadTask);
     }
 
+    /// Serializes the tests that install the process-global tracer.
+    static GLOBAL_TRACER: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn session_spans_carry_the_request_id_and_censored_reports_count() {
         use gptune_trace::Field;
+        let _serial = GLOBAL_TRACER
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         let prev = gptune_trace::install(gptune_trace::Tracer::ring(1024));
         let p = toy(1);
         let mut s = TunerSession::new(p, fast_opts());
@@ -630,6 +657,54 @@ mod tests {
             .iter()
             .filter(|e| e.name.as_ref().starts_with("gptune.core.session."))
             .any(|e| e.field("rid").is_none()));
+    }
+
+    #[test]
+    fn restore_does_not_count_archived_rows_as_new_evaluations() {
+        let _serial = GLOBAL_TRACER
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let prev = gptune_trace::install(gptune_trace::Tracer::ring(1024));
+        let p = toy(1);
+        // Two of the four archived rows are censored.
+        let history: Vec<(usize, Config, Vec<f64>)> = [0.1, 0.3, 0.5, 0.7]
+            .into_iter()
+            .enumerate()
+            .map(|(i, x)| {
+                let y = if i % 2 == 0 { f64::INFINITY } else { 1.0 + x };
+                (0, vec![Value::Real(x)], vec![y])
+            })
+            .collect();
+        let snap = SessionSnapshot {
+            n_suggested: 4,
+            n_refits: 0,
+            history,
+            model_state: None,
+        };
+        let g = gptune_trace::global();
+        let censored = || {
+            g.metrics()
+                .counter("gptune.core.evals_censored")
+                .unwrap_or(0)
+        };
+        let mut s = TunerSession::restore(p, fast_opts(), &snap).unwrap();
+        let after_restore = censored();
+        s.report(0, vec![Value::Real(0.9)], vec![f64::NAN]).unwrap();
+        let after_report = censored();
+        let data = g.drain();
+        gptune_trace::install(prev);
+        assert_eq!(s.n_reports(), 5);
+        assert_eq!(after_restore, 0, "archived censored rows were counted");
+        assert_eq!(after_report, 1, "a live censored report counts once");
+        // Other tests report concurrently: count only this thread's spans.
+        let me = std::thread::current().name().map(str::to_string);
+        let report_spans = data
+            .events
+            .iter()
+            .filter(|e| e.name.as_ref() == "gptune.core.session.report")
+            .filter(|e| data.track_name(e.track).map(str::to_string) == me)
+            .count();
+        assert_eq!(report_spans, 1, "restore opened report spans");
     }
 
     #[test]

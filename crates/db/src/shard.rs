@@ -19,8 +19,9 @@
 //! Two split policies: **by task** (one shard per distinct task value —
 //! the task-range layout, so a warm start for one task touches one shard)
 //! and **window** (append-order windows of fixed entry count — the
-//! time-window layout for chronological archival). Run summaries always
-//! land in the first shard of a by-task split.
+//! time-window layout for chronological archival). Run summaries are not
+//! task-scoped: a by-task split files them in a shard of their own,
+//! labelled `runs`.
 //!
 //! Readers go through [`load_all`], which folds manifest shards and the
 //! live journal into one deduplicated view — so every crash window of
@@ -43,8 +44,8 @@ use std::path::{Path, PathBuf};
 /// How [`split`] partitions entries into shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardPolicy {
-    /// One shard per distinct task value (task-range sharding). Run
-    /// summaries go to the first shard.
+    /// One shard per distinct task value (task-range sharding), plus one
+    /// shard labelled `runs` holding the run summaries, if there are any.
     ByTask,
     /// Append-order windows of at most `n` entries (time-window
     /// sharding).
@@ -326,8 +327,8 @@ pub fn split(
                     DbEntry::Eval(r) => format!("task:{}", task_key(&r.task)),
                     DbEntry::Fail(r) => format!("task:{}", task_key(&r.task)),
                     // Run summaries are not task-scoped; a by-task split
-                    // parks them in the first group so they stay reachable
-                    // from the manifest.
+                    // gives them a group of their own, so they stay
+                    // reachable from the manifest.
                     DbEntry::Run(_) => "runs".to_string(),
                 };
                 match groups.iter_mut().find(|(l, _)| *l == label) {
@@ -498,6 +499,37 @@ mod tests {
         let (all, report) = load_all(&root, "toy", 0xfeed).unwrap();
         assert_eq!(all.len(), 12);
         assert!(report.is_clean());
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn split_by_task_files_run_summaries_under_their_own_label() {
+        let root = tmp_root("bytask_runs");
+        let run = DbEntry::Run(crate::record::RunSummary {
+            problem: "toy".into(),
+            sig: 0xfeed,
+            prov: Provenance {
+                seed: 1,
+                run: "r".into(),
+                machine: None,
+            },
+            stats: Default::default(),
+        });
+        let entries = vec![rec(0, 1, 1.0), rec(1, 2, 2.0), rec(0, 3, 3.0), run.clone()];
+        seed_journal(&root, &entries);
+        let m = split(
+            &root,
+            "toy",
+            0xfeed,
+            ShardPolicy::ByTask,
+            &LockOptions::default(),
+        )
+        .unwrap();
+        let labels: Vec<&str> = m.shards.iter().map(|s| s.label.as_str()).collect();
+        assert_eq!(labels, ["task:i0", "task:i1", "runs"]);
+        assert_eq!(m.shards[0].n_entries, 2);
+        let (held, _) = load_shard(&root, &m.shards[2]).unwrap();
+        assert_eq!(held, vec![run]);
         let _ = std::fs::remove_dir_all(&root);
     }
 

@@ -16,6 +16,11 @@
 //!   farthest-point subset, and incremental updates evict the nearest
 //!   non-incumbent point before admitting a new one, so per-update cost
 //!   is O(cap²) no matter how long the history gets.
+//! * **Snapshot** — [`IncrementalLcm::state`] images an uncapped surrogate
+//!   as its last full fit's hyperparameters plus the outputs it has seen;
+//!   [`IncrementalLcm::restore`] rebuilds it bit for bit from that image
+//!   with one covariance factorization and the tail's extensions, running
+//!   no optimizer.
 //!
 //! Every update is traced as a `gptune.gp.refit` span with a
 //! `mode=full|incremental|capped` field and a per-mode counter, so
@@ -26,7 +31,7 @@
 //! extension — so existing determinism and resume guarantees hold unless
 //! a caller opts in.
 
-use crate::lcm::{sqdist, DistanceCache, LcmFitOptions, LcmModel};
+use crate::lcm::{sqdist, DistanceCache, LcmFitOptions, LcmHyperparams, LcmModel};
 use gptune_la::ord::feq;
 
 /// When hyperparameters are re-optimized, vs. extended incrementally.
@@ -91,10 +96,10 @@ impl RefitMode {
     }
 }
 
-/// Snapshot of the incremental bookkeeping, sufficient to rebuild the
-/// surrogate *bit-identically* on restore: replay the last full fit
-/// (same prefix, seed, and warm start), then replay the tail extensions
-/// with the outputs exactly as the model saw them.
+/// Image of a fitted incremental surrogate, sufficient to rebuild it
+/// *bit-identically* on restore without re-optimizing: the last full
+/// fit's hyperparameters, which are assembled and factored once over the
+/// prefix that fit saw, and the outputs the tail extensions were given.
 ///
 /// Only uncapped models are snapshotted ([`IncrementalLcm::state`]
 /// returns `None` when the active-set cap has engaged, and sessions fall
@@ -103,12 +108,11 @@ impl RefitMode {
 pub struct ModelState {
     /// Data length at the last full fit.
     pub n_full: usize,
-    /// `LcmFitOptions::seed` used by the last full fit.
-    pub full_seed: u64,
     /// Incremental updates applied since the last full fit.
     pub updates_since_full: u64,
-    /// Packed warm-start hyperparameters the last full fit was given.
-    pub warm: Option<Vec<f64>>,
+    /// The last full fit's hyperparameters exactly as it returned them
+    /// (the extensions since then hold them fixed).
+    pub hyperparams: LcmHyperparams,
     /// Outputs exactly as passed to each update (prefix: at the last full
     /// fit; tail: as appended) — stored because failure censoring can
     /// rewrite history values between updates.
@@ -131,8 +135,6 @@ pub struct IncrementalLcm {
     /// full refit) and for snapshotting.
     y_seen: Vec<f64>,
     n_full: usize,
-    full_seed: u64,
-    warm_used: Option<Vec<f64>>,
     updates_since_full: u64,
     /// Per-point NLL right after the last full fit (drift reference).
     nll_ref: f64,
@@ -147,8 +149,6 @@ impl IncrementalLcm {
             cache: None,
             y_seen: Vec::new(),
             n_full: 0,
-            full_seed: 0,
-            warm_used: None,
             updates_since_full: 0,
             nll_ref: 0.0,
         }
@@ -242,22 +242,30 @@ impl IncrementalLcm {
     /// bit-identically (incremental schedule, model present, cap never
     /// engaged since the last full fit).
     pub fn state(&self) -> Option<ModelState> {
-        if !self.schedule.is_incremental() || self.model.is_none() || self.cache.is_none() {
+        if !self.schedule.is_incremental() || self.cache.is_none() {
             return None;
         }
+        let model = self.model.as_ref()?;
         Some(ModelState {
             n_full: self.n_full,
-            full_seed: self.full_seed,
             updates_since_full: self.updates_since_full,
-            warm: self.warm_used.clone(),
+            hyperparams: model.hyperparams().clone(),
             y: self.y_seen.clone(),
         })
     }
 
-    /// Rebuilds the surrogate from a [`ModelState`] snapshot by replaying
-    /// the last full fit (same prefix, seed, warm start) and the tail
-    /// extensions — the factor, alpha, and every downstream suggestion
-    /// come out bit-identical to the session that wrote the snapshot.
+    /// Rebuilds the surrogate from a [`ModelState`] image: the prefix model
+    /// at the saved hyperparameters ([`LcmModel::from_hyperparams`]: one
+    /// covariance assembly and one factorization), then the tail
+    /// extensions one point at a time. No optimizer runs. The last full
+    /// fit assembled and factored its model the same way, from the same
+    /// hyperparameters over the same distances, so the factor, α, NLL and
+    /// every downstream suggestion come out bit-identical to the session
+    /// that wrote the image.
+    ///
+    /// An image that does not fit the data (lengths, task count, input
+    /// dimension, or hyperparameters no fit returns) is an `Err`, and the
+    /// surrogate is left as it was.
     pub fn restore(
         &mut self,
         xs: &[Vec<f64>],
@@ -266,43 +274,45 @@ impl IncrementalLcm {
         opts: &LcmFitOptions,
         state: &ModelState,
     ) -> Result<(), String> {
-        let n = xs.len();
-        if state.n_full == 0 || state.n_full > n || state.y.len() != n || task_of.len() != n {
+        let (n, nf) = (xs.len(), state.n_full);
+        if nf == 0 || nf > n || state.y.len() != n || task_of.len() != n {
             return Err("incremental restore: inconsistent model state".into());
         }
         if opts.max_active_set.is_some_and(|c| c > 0 && n > c) {
             return Err("incremental restore: capped models are not snapshotted".into());
         }
-        if state.y[state.n_full..].iter().any(|v| !v.is_finite()) {
-            return Err("incremental restore: non-finite appended output".into());
+        if state.y[nf..].iter().any(|v| !v.is_finite())
+            || !state.y[..nf].iter().any(|v| v.is_finite())
+        {
+            return Err("incremental restore: outputs no fit could have seen".into());
         }
-        let mut replay_opts = opts.clone();
-        replay_opts.seed = state.full_seed;
-        let mut cache = DistanceCache::build(&xs[..state.n_full]);
-        let mut model = LcmModel::fit_impl(
-            &xs[..state.n_full],
-            &task_of[..state.n_full],
-            &state.y[..state.n_full],
+        if !plausible_fit(&state.hyperparams, n_tasks, xs[0].len()) {
+            return Err("incremental restore: hyperparameters do not fit the data".into());
+        }
+        let mut cache = DistanceCache::build(&xs[..nf]);
+        let mut model = LcmModel::from_hyperparams_cached(
+            &xs[..nf],
+            &task_of[..nf],
+            &state.y[..nf],
             n_tasks,
-            &replay_opts,
-            state.warm.as_deref(),
+            opts.kernel,
+            state.hyperparams.clone(),
+            None,
             Some(&cache),
         );
         let nll_ref = model.nll() / model.n_samples() as f64;
-        // Replay the tail one point at a time — the same operation order
-        // the original session applied, whatever its batching was.
-        for p in state.n_full..n {
+        // Re-extend the tail one point at a time — the same operation
+        // order the original session applied, whatever its batching was.
+        for p in nf..n {
             model
                 .extend(&xs[p..p + 1], &task_of[p..p + 1], &state.y[p..p + 1])
-                .map_err(|e| format!("incremental restore: replay failed: {e}"))?;
+                .map_err(|e| format!("incremental restore: extension failed: {e}"))?;
         }
         cache.append(xs);
         self.model = Some(model);
         self.cache = Some(cache);
         self.y_seen = state.y.clone();
-        self.n_full = state.n_full;
-        self.full_seed = state.full_seed;
-        self.warm_used = state.warm.clone();
+        self.n_full = nf;
         self.updates_since_full = state.updates_since_full;
         self.nll_ref = nll_ref;
         Ok(())
@@ -432,8 +442,6 @@ impl IncrementalLcm {
         self.model = Some(model);
         self.y_seen = y.to_vec();
         self.n_full = xs.len();
-        self.full_seed = opts.seed;
-        self.warm_used = warm;
         self.updates_since_full = 0;
     }
 
@@ -462,6 +470,36 @@ impl IncrementalLcm {
         self.y_seen = y.to_vec();
         self.updates_since_full += 1;
     }
+}
+
+/// Whether `hp` is shaped for `n_tasks` tasks in `dim` inputs and its
+/// covariance assembles without overflow: everything finite, lengthscales
+/// in `[1e-6, 1e6]` and `b`, `d` in `[0, 1e12]` (the likelihood scores
+/// anything else `+∞`, so no fit returns it), and `|a| ≤ 1e6`. A restored
+/// image is checked against it, so a damaged one falls back to a refit.
+fn plausible_fit(hp: &LcmHyperparams, n_tasks: usize, dim: usize) -> bool {
+    let per_latent =
+        |v: &[Vec<f64>], len: usize| v.len() == hp.q && v.iter().all(|r| r.len() == len);
+    let within = |v: f64, lo: f64, hi: f64| (lo..=hi).contains(&v);
+    hp.n_tasks == n_tasks
+        && hp.dim == dim
+        && (1..=n_tasks).contains(&hp.q)
+        && per_latent(&hp.lengthscales, dim)
+        && per_latent(&hp.a, n_tasks)
+        && per_latent(&hp.b, n_tasks)
+        && hp.d.len() == n_tasks
+        && hp
+            .lengthscales
+            .iter()
+            .flatten()
+            .all(|&l| within(l, 1e-6, 1e6))
+        && hp.a.iter().flatten().all(|&a| within(a, -1e6, 1e6))
+        && hp
+            .b
+            .iter()
+            .flatten()
+            .chain(&hp.d)
+            .all(|&v| within(v, 0.0, 1e12))
 }
 
 /// The active point to evict for a new point at `x`: the nearest one in
@@ -639,7 +677,7 @@ mod tests {
         let mut back = IncrementalLcm::new(RefitSchedule::every(50));
         back.restore(&xs, &tasks, 2, &opts, &state).unwrap();
         let (a, b) = (inc.model().unwrap(), back.model().unwrap());
-        assert!(feq(a.nll_from_factor(), b.nll_from_factor()));
+        assert!(feq(a.nll(), b.nll()));
         for x in [0.05, 0.31, 0.77] {
             for t in 0..2 {
                 let pa = a.predict(t, &[x]);
@@ -649,5 +687,36 @@ mod tests {
             }
         }
         assert_eq!(back.state().unwrap(), state);
+    }
+
+    #[test]
+    fn damaged_images_are_rejected_without_touching_the_surrogate() {
+        let (xs, tasks, ys) = toy(6);
+        let mut inc = IncrementalLcm::new(RefitSchedule::every(50));
+        let opts = fast_opts();
+        inc.update(&xs, &tasks, &ys, 2, &opts);
+        let good = inc.state().expect("incremental state");
+        let damaged: [fn(&mut ModelState); 5] = [
+            |s| s.hyperparams.lengthscales[0][0] = f64::NAN,
+            |s| {
+                s.hyperparams.d.pop();
+            },
+            |s| s.hyperparams.a[0][1] = 1e200,
+            |s| s.hyperparams.b[0][0] = -1.0,
+            |s| s.y.iter_mut().for_each(|v| *v = f64::INFINITY),
+        ];
+        for (k, damage) in damaged.iter().enumerate() {
+            let mut bad = good.clone();
+            damage(&mut bad);
+            let mut back = IncrementalLcm::new(RefitSchedule::every(50));
+            assert!(
+                back.restore(&xs, &tasks, 2, &opts, &bad).is_err(),
+                "damage {k}"
+            );
+            assert!(back.model().is_none() && back.state().is_none());
+        }
+        let mut back = IncrementalLcm::new(RefitSchedule::every(50));
+        back.restore(&xs, &tasks, 2, &opts, &good).unwrap();
+        assert_eq!(back.state().unwrap(), good);
     }
 }

@@ -15,7 +15,7 @@ use gptune_opt::lbfgs::{self, LbfgsOptions};
 use gptune_rng::{Rng, SeedableRng, StdRng};
 
 /// LCM hyperparameters (paper Eq. 4).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LcmHyperparams {
     /// Number of latent GPs `Q ≤ δ`.
     pub q: usize,
@@ -359,38 +359,20 @@ impl LcmModel {
             });
 
         fit_span.add("best_nll", best_nll);
+        // `best_nll` came from assembling and factoring Σ at this θ over
+        // these distances, so the model's NLL (taken from its factor) is
+        // the same value bit for bit — which is what lets a snapshot of
+        // the hyperparameters rebuild this model exactly.
         let hp = LcmHyperparams::unpack(q, n_tasks, dim, &best_theta);
-        let kernels: Vec<ArdKernel> = (0..q)
-            .map(|qq| ArdKernel::with_kind(opts.kernel, hp.lengthscales[qq].clone()))
-            .collect();
-        let coeffs = task_coeffs(&hp);
-        let packed: Vec<PackedKernel> = kernels.iter().map(|k| dists.packed(k)).collect();
-        let chol =
-            factor_covariance(|| assemble_covariance(task_of, n_tasks, &coeffs, &packed, &hp.d));
-        let alpha = chol.solve(&y_std_vals);
-        let prior_var: Vec<f64> = (0..n_tasks)
-            .map(|task| {
-                (0..q)
-                    .map(|qq| hp.a[qq][task] * hp.a[qq][task] + hp.b[qq][task])
-                    .sum()
-            })
-            .collect();
-
-        LcmModel {
-            hp,
-            kernel: opts.kernel,
-            xs: xs.to_vec(),
-            task_of: task_of.to_vec(),
+        Self::assemble(
+            xs,
+            task_of,
             y_std_vals,
-            shift,
-            scale,
-            chol,
-            alpha,
-            nll: best_nll,
-            kernels,
-            coeffs,
-            prior_var,
-        }
+            (shift, scale),
+            opts.kernel,
+            hp,
+            dists,
+        )
     }
 
     /// The fitted hyperparameters.
@@ -398,8 +380,10 @@ impl LcmModel {
         &self.hp
     }
 
-    /// Negative log marginal likelihood at the fitted hyperparameters
-    /// (standardized outputs).
+    /// Negative log marginal likelihood of the stored factor (standardized
+    /// outputs): right after a fit, the optimizer's best value; after
+    /// [`extend`](Self::extend) or [`remove`](Self::remove), the grown or
+    /// shrunk model's.
     pub fn nll(&self) -> f64 {
         self.nll
     }
@@ -434,6 +418,16 @@ impl LcmModel {
         &self.y_std_vals
     }
 
+    /// The stored Cholesky factor of the training covariance `Σ`.
+    pub fn factor(&self) -> &Cholesky {
+        &self.chol
+    }
+
+    /// `α = Σ⁻¹ y` over the standardized outputs.
+    pub fn alpha(&self) -> &[f64] {
+        &self.alpha
+    }
+
     /// Builds a model at *fixed* hyperparameters — no optimization, just
     /// covariance assembly, factorization, and the solve. This is the
     /// from-scratch baseline the incremental extension is pinned against,
@@ -451,6 +445,24 @@ impl LcmModel {
         hp: LcmHyperparams,
         standardization: Option<(f64, f64)>,
     ) -> LcmModel {
+        Self::from_hyperparams_cached(xs, task_of, y, n_tasks, kernel, hp, standardization, None)
+    }
+
+    /// [`from_hyperparams`](Self::from_hyperparams) over a caller's
+    /// [`DistanceCache`] covering exactly `xs` (`None` builds one). Given
+    /// the hyperparameters a fit of the same data returned, the result is
+    /// that fit's model bit for bit: factor, α and NLL.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn from_hyperparams_cached(
+        xs: &[Vec<f64>],
+        task_of: &[usize],
+        y: &[f64],
+        n_tasks: usize,
+        kernel: KernelKind,
+        hp: LcmHyperparams,
+        standardization: Option<(f64, f64)>,
+        cache: Option<&DistanceCache>,
+    ) -> LcmModel {
         let n = xs.len();
         assert!(n > 0, "LcmModel::from_hyperparams: empty data");
         assert_eq!(task_of.len(), n);
@@ -465,12 +477,37 @@ impl LcmModel {
         let (cleaned, own_shift, own_scale) = clean_and_standardize(y);
         let (shift, scale) = standardization.unwrap_or((own_shift, own_scale));
         let y_std_vals: Vec<f64> = cleaned.iter().map(|v| (v - shift) / scale).collect();
+        let built;
+        let dists = match cache {
+            Some(c) => {
+                debug_assert_eq!(c.n(), n, "from_hyperparams: distance cache size mismatch");
+                c
+            }
+            None => {
+                built = DistanceCache::build(xs);
+                &built
+            }
+        };
+        Self::assemble(xs, task_of, y_std_vals, (shift, scale), kernel, hp, dists)
+    }
 
+    /// The model at fixed `hp`: `Σ` assembled over `dists` and factored in
+    /// place, `α = Σ⁻¹y`, and the NLL from that factor. The last step of
+    /// every fit and the whole of [`from_hyperparams`](Self::from_hyperparams).
+    fn assemble(
+        xs: &[Vec<f64>],
+        task_of: &[usize],
+        y_std_vals: Vec<f64>,
+        (shift, scale): (f64, f64),
+        kernel: KernelKind,
+        hp: LcmHyperparams,
+        dists: &DistanceCache,
+    ) -> LcmModel {
+        let n_tasks = hp.n_tasks;
         let kernels: Vec<ArdKernel> = (0..hp.q)
             .map(|qq| ArdKernel::with_kind(kernel, hp.lengthscales[qq].clone()))
             .collect();
         let coeffs = task_coeffs(&hp);
-        let dists = DistanceCache::build(xs);
         let packed: Vec<PackedKernel> = kernels.iter().map(|k| dists.packed(k)).collect();
         let chol =
             factor_covariance(|| assemble_covariance(task_of, n_tasks, &coeffs, &packed, &hp.d));
@@ -601,14 +638,6 @@ impl LcmModel {
         self.y_std_vals.remove(idx);
         self.alpha = self.chol.solve(&self.y_std_vals);
         self.nll = nll_from_chol(&self.chol, &self.y_std_vals, &self.alpha);
-    }
-
-    /// Negative log marginal likelihood recomputed from the *stored*
-    /// factor (rather than the optimizer's last likelihood evaluation) —
-    /// the apples-to-apples quantity for comparing an incrementally
-    /// extended model against a from-scratch rebuild.
-    pub fn nll_from_factor(&self) -> f64 {
-        nll_from_chol(&self.chol, &self.y_std_vals, &self.alpha)
     }
 
     /// Posterior prediction for `task` at normalized point `x`

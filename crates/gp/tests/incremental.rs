@@ -16,10 +16,15 @@
 //!   fixed tolerance while holding `n_samples` at the cap;
 //! * `loo_diagnostics` and `covariance_condition_number` stay finite on
 //!   degenerate (duplicate-x) histories — the jitter path must absorb
-//!   the singularity rather than leak NaNs into diagnostics.
+//!   the singularity rather than leak NaNs into diagnostics;
+//! * a surrogate restored from its `ModelState` image mid incremental
+//!   cycle is bit-identical to the live one (factor, α, NLL, batched
+//!   predictions), takes the same refit modes afterwards, and runs no fit
+//!   while restoring.
 
 use gptune_gp::{IncrementalLcm, KernelKind, LcmFitOptions, LcmModel, RefitMode, RefitSchedule};
 use gptune_rng::{Rng, SeedableRng, StdRng};
+use gptune_trace::{TraceData, Tracer};
 
 /// Relative difference scaled by magnitude (and safe at zero).
 fn rel(a: f64, b: f64) -> f64 {
@@ -115,7 +120,7 @@ fn sixty_four_sequential_appends_match_from_scratch() {
             model.hyperparams().clone(),
             Some(standardization),
         );
-        let d_nll = rel(model.nll_from_factor(), scratch.nll_from_factor());
+        let d_nll = rel(model.nll(), scratch.nll());
         assert!(d_nll < 1e-10, "n={n}: NLL drift {d_nll}");
         for t in 0..n_tasks {
             for p in &probes {
@@ -154,7 +159,7 @@ fn batched_extension_matches_one_at_a_time() {
             .unwrap();
     }
     batched.extend(&xs[n0..], &task_of[n0..], &y[n0..]).unwrap();
-    assert!(rel(one.nll_from_factor(), batched.nll_from_factor()) < 1e-12);
+    assert!(rel(one.nll(), batched.nll()) < 1e-12);
     for p in probe_points(2, 11) {
         let a = one.predict(1, &p);
         let b = batched.predict(1, &p);
@@ -180,7 +185,7 @@ fn remove_then_extend_round_trips_the_posterior() {
     model
         .extend(&xs[idx..idx + 1], &task_of[idx..idx + 1], &y[idx..idx + 1])
         .expect("re-extend");
-    assert!(rel(model.nll_from_factor(), base.nll_from_factor()) < 1e-10);
+    assert!(rel(model.nll(), base.nll()) < 1e-10);
     for t in 0..2 {
         for p in probe_points(2, 29) {
             let a = model.predict(t, &p);
@@ -339,4 +344,109 @@ fn diagnostics_track_an_incrementally_extended_model() {
     let (s_rmse, s_calib) = scratch.loo_diagnostics();
     assert!(rel(rmse, s_rmse) < 1e-8, "{rmse} vs {s_rmse}");
     assert!(rel(calib, s_calib) < 1e-8, "{calib} vs {s_calib}");
+}
+
+/// Every bit a surrogate's suggestions depend on: factor, α, NLL and the
+/// batched posterior of each task at fixed probe points.
+fn model_bits(m: &LcmModel, n_tasks: usize, probes: &[Vec<f64>]) -> Vec<u64> {
+    let mut bits: Vec<u64> = m
+        .factor()
+        .l()
+        .as_slice()
+        .iter()
+        .map(|v| v.to_bits())
+        .collect();
+    bits.extend(m.alpha().iter().map(|v| v.to_bits()));
+    bits.push(m.nll().to_bits());
+    for t in 0..n_tasks {
+        for p in m.predict_batch(t, probes) {
+            bits.extend([p.mean.to_bits(), p.variance.to_bits()]);
+        }
+    }
+    bits
+}
+
+/// Names of the spans this thread recorded (tests run concurrently and
+/// share the global tracer, so other threads' events are skipped).
+fn my_span_names(data: &TraceData) -> Vec<String> {
+    let me = std::thread::current().name().map(str::to_string);
+    data.events
+        .iter()
+        .filter(|e| data.track_name(e.track).map(str::to_string) == me)
+        .map(|e| e.name.to_string())
+        .collect()
+}
+
+#[test]
+fn restore_from_image_is_bit_identical_and_runs_no_fit() {
+    let (n_tasks, dim) = (3, 2);
+    let (xs, task_of, y) = synth(30, dim, n_tasks, 1);
+    let probes = probe_points(dim, 11);
+    // Each update gets its own seed, as a session's refits do.
+    let opts = |k: u64| LcmFitOptions {
+        n_starts: 2,
+        seed: 100 + k,
+        ..Default::default()
+    };
+    let schedule = RefitSchedule::every(4);
+    let mut live = IncrementalLcm::new(schedule);
+    let n0 = 24;
+    // A full fit, then two incremental updates (the second a batch of two).
+    let steps = [
+        (n0, RefitMode::Full),
+        (n0 + 1, RefitMode::Incremental),
+        (n0 + 3, RefitMode::Incremental),
+    ];
+    for (k, (n, mode)) in steps.into_iter().enumerate() {
+        let got = live.update(&xs[..n], &task_of[..n], &y[..n], n_tasks, &opts(k as u64));
+        assert_eq!(got, mode, "live update {k}");
+    }
+    let image = live.state().expect("uncapped incremental state");
+    assert_eq!((image.n_full, image.updates_since_full), (n0, 2));
+
+    let prev = gptune_trace::install(Tracer::ring(1 << 14));
+    let mut back = IncrementalLcm::new(schedule);
+    let n = n0 + 3;
+    back.restore(&xs[..n], &task_of[..n], n_tasks, &opts(9), &image)
+        .expect("restore");
+    let during_restore = gptune_trace::global().drain();
+    let restored_bits = model_bits(back.model().unwrap(), n_tasks, &probes);
+    assert_eq!(
+        restored_bits,
+        model_bits(live.model().unwrap(), n_tasks, &probes),
+        "restored surrogate differs from the live one"
+    );
+    assert_eq!(back.state().as_ref(), Some(&image));
+
+    // The cycle continues identically: one more extension, then the
+    // schedule's full refit (warm-started from the restored optimum).
+    for (k, (n, mode)) in [(n0 + 4, RefitMode::Incremental), (n0 + 5, RefitMode::Full)]
+        .into_iter()
+        .enumerate()
+    {
+        let k = 3 + k as u64;
+        let a = live.update(&xs[..n], &task_of[..n], &y[..n], n_tasks, &opts(k));
+        let b = back.update(&xs[..n], &task_of[..n], &y[..n], n_tasks, &opts(k));
+        assert_eq!((a, b), (mode, mode), "update at n = {n}");
+        assert_eq!(
+            model_bits(live.model().unwrap(), n_tasks, &probes),
+            model_bits(back.model().unwrap(), n_tasks, &probes),
+            "diverged after the update at n = {n}"
+        );
+    }
+    let after_restore = gptune_trace::global().drain();
+    gptune_trace::install(prev);
+
+    assert_eq!(during_restore.dropped, 0);
+    let spans = my_span_names(&during_restore);
+    assert!(
+        !spans.iter().any(|s| s == "gptune.gp.fit"),
+        "restore ran a fit: {spans:?}"
+    );
+    // The filter sees this thread's fits: both full refits above opened one.
+    let fits = my_span_names(&after_restore)
+        .into_iter()
+        .filter(|s| s == "gptune.gp.fit")
+        .count();
+    assert_eq!(fits, 2);
 }

@@ -1628,9 +1628,17 @@ mod tests {
     #[test]
     fn restored_sessions_continue_the_same_suggestion_stream() {
         // The determinism acceptance: suggest after drain+restore must
-        // produce what the uninterrupted server would have produced.
+        // produce what the uninterrupted server would have produced. The
+        // two tasks' initial designs take rounds 0–3 and every later
+        // suggest refits; on this data the NLL-drift trigger makes every
+        // other refit a full one. The drain lands before round 8, after
+        // an incremental refit, so the restored session rebuilds its
+        // surrogate from the image mid incremental cycle, then runs a
+        // warm-started full refit and another incremental one on it.
+        const ROUNDS: usize = 12;
+        const DRAIN_AT: usize = 8;
         let root_a = tmp_root("detA");
-        let seq = |restart: bool, root: &PathBuf| -> Vec<Vec<Value>> {
+        let seq = |restart: bool, root: &PathBuf| {
             let opts = || ServeOptions {
                 workers: 1,
                 archive: Some(root.clone()),
@@ -1640,10 +1648,17 @@ mod tests {
             let mut c = TcpStream::connect(server.local_addr()).unwrap();
             open(&mut c, "t", spec("det"));
             let mut out = Vec::new();
-            for round in 0..4usize {
-                if restart && round == 2 {
+            let mut image = None;
+            for round in 0..ROUNDS {
+                if restart && round == DRAIN_AT {
                     drop(c);
                     server.drain();
+                    image = SessionStore::new(root)
+                        .unwrap()
+                        .load("t", "det")
+                        .unwrap()
+                        .expect("drained session archived")
+                        .model_state;
                     server = serve("127.0.0.1:0", opts()).unwrap();
                     c = TcpStream::connect(server.local_addr()).unwrap();
                     open(&mut c, "t", spec("det"));
@@ -1658,13 +1673,15 @@ mod tests {
                 );
                 let cfg =
                     gptune_core::db_bridge::config_from_json(s.get("config").unwrap()).unwrap();
+                let x = cfg[0].as_real();
+                let y = (x - 0.3) * (x - 0.3) + 0.1 * task as f64 + 0.01;
                 assert!(is_ok(&roundtrip(
                     &mut c,
                     &Request::Report {
                         session: "t/det".into(),
                         task,
                         config: cfg.clone(),
-                        outputs: vec![round as f64],
+                        outputs: vec![y],
                     },
                 )));
                 out.push(cfg);
@@ -1677,10 +1694,15 @@ mod tests {
                 },
             );
             server.shutdown();
-            out
+            (out, image)
         };
-        let uninterrupted = seq(false, &root_a);
-        let restarted = seq(true, &root_a);
+        let (uninterrupted, _) = seq(false, &root_a);
+        let (restarted, image) = seq(true, &root_a);
+        let image = image.expect("the drained meta carries a model image");
+        assert!(
+            image.updates_since_full > 0,
+            "the drain landed on a full refit, not mid incremental cycle"
+        );
         assert_eq!(
             uninterrupted, restarted,
             "drain+restore changed the suggestion stream"

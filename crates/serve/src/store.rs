@@ -6,9 +6,10 @@
 //! they are in the session table. Two kinds of files hold a session:
 //!
 //! * a **meta file** (`<key>.session.json`, written atomically) carrying
-//!   the structural spec, the session options, and the suggest/refit
-//!   counters — everything [`gptune_core::TunerSession`] needs beyond the
-//!   history to continue the *identical* suggestion stream;
+//!   the structural spec, the session options, the suggest/refit
+//!   counters and, under an incremental refit schedule, the surrogate's
+//!   [`ModelState`] image — everything [`gptune_core::TunerSession`] needs
+//!   beyond the history to continue the *identical* suggestion stream;
 //! * the ordinary **sharded journal** of that problem (live JSONL write
 //!   head plus any archive shards), holding one eval record per report.
 //!
@@ -21,14 +22,16 @@
 //! Restore is the inverse: read the meta, fold the sharded journal via
 //! [`gptune_db::shard::load_all`] (which tolerates torn tails and
 //! CRC-failed records, reported per record), and replay the rows into a
-//! fresh session. A kill -9 between append and acknowledge costs at most
-//! one *acknowledged* report — which is zero, because unacknowledged
-//! reports are the client's to retry.
+//! fresh session, whose surrogate is rebuilt from the image with one
+//! covariance factorization (no hyperparameter optimization). A kill -9
+//! between append and acknowledge costs at most one *acknowledged*
+//! report — which is zero, because unacknowledged reports are the
+//! client's to retry.
 
 use crate::protocol::SessionOptions;
 use crate::spec::ProblemSpec;
 use gptune_core::db_bridge::{config_to_db, db_to_config};
-use gptune_core::ModelState;
+use gptune_core::{LcmHyperparams, ModelState};
 use gptune_db::json::{self, Json};
 use gptune_db::{
     atomic_write, fnv1a, journal, sanitize, shard, DbEntry, DbRecord, LockOptions, Provenance,
@@ -50,9 +53,11 @@ pub struct StoredSession {
     pub n_refits: u64,
     /// Archived `(task, config, outputs)` rows in append order.
     pub history: Vec<(usize, Config, Vec<f64>)>,
-    /// Incremental-surrogate replay recipe saved with the meta, when the
-    /// session ran an incremental refit schedule (`None` otherwise, and
-    /// for meta files written before this field existed).
+    /// Image of the incremental surrogate saved with the meta, when the
+    /// session ran an incremental refit schedule. `None` otherwise, and for
+    /// meta files without one in the current form (including those that
+    /// stored a refit seed and warm start instead of hyperparameters):
+    /// such a session refits from scratch on its first suggest.
     pub model_state: Option<ModelState>,
     /// What recovery saw while folding the journal (torn tails, CRC
     /// failures); clean on the happy path.
@@ -65,43 +70,56 @@ pub struct SessionStore {
 }
 
 /// Encodes a [`ModelState`] for the meta file. `u64` counters use the
-/// decimal-string encoding (exact beyond 2^53); floats use the shortest
-/// round-trip form, so the replayed fit is bit-identical.
+/// decimal-string encoding (exact beyond 2^53); the hyperparameters
+/// (`lengthscales[q][d]`, `a[q][t]`, `b[q][t]`, `d[t]`) and outputs use
+/// the shortest round-trip float form, so the restored surrogate is
+/// bit-identical.
 fn model_state_to_json(ms: &ModelState) -> Json {
+    let floats = |v: &[f64]| Json::Arr(v.iter().map(|x| Json::from_f64(*x)).collect());
+    let rows = |m: &[Vec<f64>]| Json::Arr(m.iter().map(|r| floats(r)).collect());
+    let hp = &ms.hyperparams;
     Json::Obj(vec![
         ("n_full".into(), Json::from_u64(ms.n_full as u64)),
-        ("full_seed".into(), Json::from_u64(ms.full_seed)),
         (
             "updates_since_full".into(),
             Json::from_u64(ms.updates_since_full),
         ),
         (
-            "warm".into(),
-            match &ms.warm {
-                Some(w) => Json::Arr(w.iter().map(|v| Json::from_f64(*v)).collect()),
-                None => Json::Null,
-            },
+            "hyperparams".into(),
+            Json::Obj(vec![
+                ("lengthscales".into(), rows(&hp.lengthscales)),
+                ("a".into(), rows(&hp.a)),
+                ("b".into(), rows(&hp.b)),
+                ("d".into(), floats(&hp.d)),
+            ]),
         ),
-        (
-            "y".into(),
-            Json::Arr(ms.y.iter().map(|v| Json::from_f64(*v)).collect()),
-        ),
+        ("y".into(), floats(&ms.y)),
     ])
 }
 
 /// Decodes a meta-file [`ModelState`]; `None` on any missing or
 /// ill-typed field (the session then restores via a lazy full refit).
+/// `q`, `dim` and the task count are read off the array lengths; whether
+/// they fit the session's data is checked where the image is restored
+/// (gptune-gp's `IncrementalLcm::restore`).
 fn model_state_from_json(j: &Json) -> Option<ModelState> {
     let floats = |v: &Json| -> Option<Vec<f64>> { v.as_arr()?.iter().map(Json::as_f64).collect() };
-    let warm = match j.get("warm") {
-        None | Some(Json::Null) => None,
-        Some(w) => Some(floats(w)?),
-    };
+    let rows = |v: &Json| -> Option<Vec<Vec<f64>>> { v.as_arr()?.iter().map(floats).collect() };
+    let hp = j.get("hyperparams")?;
+    let lengthscales = rows(hp.get("lengthscales")?)?;
+    let d = floats(hp.get("d")?)?;
     Some(ModelState {
-        n_full: j.get("n_full")?.as_u64()? as usize,
-        full_seed: j.get("full_seed")?.as_u64()?,
+        n_full: usize::try_from(j.get("n_full")?.as_u64()?).ok()?,
         updates_since_full: j.get("updates_since_full")?.as_u64()?,
-        warm,
+        hyperparams: LcmHyperparams {
+            q: lengthscales.len(),
+            n_tasks: d.len(),
+            dim: lengthscales.first().map_or(0, Vec::len),
+            a: rows(hp.get("a")?)?,
+            b: rows(hp.get("b")?)?,
+            lengthscales,
+            d,
+        },
         y: floats(j.get("y")?)?,
     })
 }
@@ -356,18 +374,40 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
     }
 
+    /// Every float of a model state, as bits, in a fixed order.
+    fn state_bits(ms: &ModelState) -> Vec<u64> {
+        let hp = &ms.hyperparams;
+        hp.lengthscales
+            .iter()
+            .chain(&hp.a)
+            .chain(&hp.b)
+            .flatten()
+            .chain(&hp.d)
+            .chain(&ms.y)
+            .map(|v| v.to_bits())
+            .collect()
+    }
+
     #[test]
     fn model_state_roundtrips_exactly_and_old_metas_load_without_it() {
         let root = tmp_root("modelstate");
         let store = SessionStore::new(&root).unwrap();
-        // Awkward values on purpose: a seed beyond 2^53, subnormal-ish and
-        // negative floats — the replay recipe must come back bit-exact.
+        // Awkward values on purpose: a counter beyond 2^53, subnormal,
+        // signed-zero, huge and non-finite floats — the image must come
+        // back bit-exact.
         let ms = ModelState {
             n_full: 7,
-            full_seed: u64::MAX - 11,
-            updates_since_full: 3,
-            warm: Some(vec![-1.5, 0.1, 3.0e-300, 7.25]),
-            y: vec![0.1 + 0.2, -0.0, 42.0],
+            updates_since_full: u64::MAX - 11,
+            hyperparams: LcmHyperparams {
+                q: 2,
+                n_tasks: 2,
+                dim: 3,
+                lengthscales: vec![vec![0.1 + 0.2, 1e-6, 5e5], vec![5e-324, 1.0, 2.5]],
+                a: vec![vec![-0.0, -1.5], vec![7.25, 1.0 / 3.0]],
+                b: vec![vec![3.0e-300, 1e12], vec![0.0, 0.7]],
+                d: vec![1e-4, 0.015625],
+            },
+            y: vec![0.1 + 0.2, -0.0, 42.0, f64::INFINITY],
         };
         store
             .save_meta("acme", &spec(), &opts(), 9, 4, Some(&ms))
@@ -376,17 +416,71 @@ mod tests {
         let back = stored.model_state.expect("model state saved");
         assert_eq!(back, ms);
         assert_eq!(
-            back.y[0].to_bits(),
-            ms.y[0].to_bits(),
+            state_bits(&back),
+            state_bits(&ms),
             "floats survive the meta file bit-for-bit"
         );
-        // A meta written without the field (pre-incremental format, or an
-        // always-full schedule) loads as `None`.
+        // A meta written without the field (an always-full schedule) loads
+        // as `None`.
         store
             .save_meta("acme", &spec(), &opts(), 9, 4, None)
             .unwrap();
         let stored = store.load("acme", "toy").unwrap().expect("stored");
         assert!(stored.model_state.is_none());
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A meta file as written before the state was an image: its
+    /// `model_state` holds the last full fit's seed and warm start instead
+    /// of hyperparameters. Captured from a serving session of `spec()`
+    /// after seven suggest/report rounds ([`OLD_META_ROWS`]).
+    const OLD_META: &str = r#"{"v":1,"kind":"serve-session","tenant":"acme","name":"toy","sig":"fc0ae8f37101267a","spec":{"name":"toy","objectives":1,"task_space":[{"name":"t","kind":"real","low":0.0,"high":1.0,"log":false}],"tuning_space":[{"name":"x","kind":"real","low":0.0,"high":1.0,"log":false}],"tasks":[[{"r":0.25}],[{"r":0.75}]]},"opts":{"seed":"11","n_initial":"2"},"n_suggested":"7","n_refits":"3","model_state":{"n_full":"6","full_seed":"29198809314","updates_since_full":"0","warm":[0.2571805313601151,3.707682537563738,0.8849122298676481,-4.938826409211241,-6.971484351172716,13.815510554604392,-0.41190227361768017,0.44645832679817704,-7.162140808117689,-6.678515744404264,-7.053440104164142,-10.957730900046464],"y":[-1.7684853286444833,-0.6104319080450069,-7.043461657992279,-2.2370436093073693,-2.4079456086518722,-2.29179383809654]}}"#;
+
+    /// The journal rows behind [`OLD_META`]: `(task, x, y)`.
+    const OLD_META_ROWS: [(usize, f64, f64); 7] = [
+        (0, 0.7130268548346943, 0.17059118281463964),
+        (1, 0.9656697695818579, 0.5431162421351637),
+        (0, 0.27045175208179917, 0.0008730989550354591),
+        (1, 0.38230250911314073, 0.10677370300631862),
+        (0, 0.0, 0.09),
+        (1, 0.3329388683735398, 0.10108496904972938),
+        (0, 0.3128981740080728, 0.00016636289274252487),
+    ];
+
+    #[test]
+    fn a_pre_image_meta_loads_without_state_restores_and_serves() {
+        let root = tmp_root("oldmeta");
+        let store = SessionStore::new(&root).unwrap();
+        std::fs::write(store.meta_path("acme", "toy"), format!("{OLD_META}\n")).unwrap();
+        let rows: Vec<(usize, Config, Vec<f64>)> = OLD_META_ROWS
+            .iter()
+            .map(|&(t, x, y)| (t, vec![Value::Real(x)], vec![y]))
+            .collect();
+        store
+            .append_reports("acme", &spec(), &opts(), &rows)
+            .unwrap();
+        let stored = store.load("acme", "toy").unwrap().expect("stored");
+        assert!(stored.model_state.is_none(), "an old state has no image");
+        assert_eq!((stored.n_suggested, stored.n_refits), (7, 3));
+        assert_eq!(stored.history, rows);
+
+        // A server on that archive restores the session and serves a
+        // model-guided suggestion (refitting from scratch).
+        let server = crate::server::serve(
+            "127.0.0.1:0",
+            crate::server::ServeOptions {
+                workers: 1,
+                archive: Some(root.clone()),
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let mut c = crate::client::ServeClient::connect(server.local_addr()).unwrap();
+        c.open_session("acme", &spec(), &opts()).unwrap();
+        assert_eq!(c.history().unwrap().len(), 7);
+        let cfg = c.suggest(1).unwrap();
+        assert!(spec().to_problem().unwrap().tuning_space.is_valid(&cfg));
+        server.shutdown();
         let _ = std::fs::remove_dir_all(&root);
     }
 

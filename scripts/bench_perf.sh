@@ -16,8 +16,12 @@
 #                        <= 3% bar)
 #   * serve_bench     -> BENCH_serve.json           >= 1000 concurrent
 #                        suggest/report sessions, p50/p99 request latency
-#                        from the gptune-trace histograms, and the
-#                        kill-the-server WAL-replay drill (0 lost reports)
+#                        from the gptune-trace histograms, the
+#                        kill-the-server WAL-replay, archive and eviction
+#                        drills (0 lost reports), and the restore drill:
+#                        open_session p50/p99 over 64 drained sessions
+#                        restored from their surrogate images, with
+#                        fits_during_open (must be 0)
 #
 # Each emitter validates its own acceptance bars and exits non-zero on a
 # regression; this wrapper additionally verifies that every expected

@@ -22,8 +22,10 @@ cargo test --offline --locked -q --workspace
 cargo test --offline --locked -q --release -p gptune-gp --test equivalence
 # Incremental-LCM equivalence smoke in release mode: 64 sequential rank-1
 # extensions must match a from-scratch rebuild to ≤ 1e-10, downdate∘update
-# must round-trip the factor, and the capped (subset-of-data) posterior
-# must stay within its fixed tolerance -- see crates/gp/tests/incremental.rs.
+# must round-trip the factor, the capped (subset-of-data) posterior must
+# stay within its fixed tolerance, and a surrogate restored from its
+# ModelState image mid incremental cycle must be bit-identical to the live
+# one without running a fit -- see crates/gp/tests/incremental.rs.
 cargo test --offline --locked -q --release -p gptune-gp --test incremental
 cargo fmt --all -- --check
 # Clippy also carries the panic-freedom policy: runtime and db deny
