@@ -14,7 +14,9 @@
 //! * an archive drill: the server journals every acknowledged report into
 //!   a session archive, dies mid-burst, and the replacement recovers the
 //!   session from the archive alone — no client WAL, no replay — with a
-//!   bit-identical sorted history versus an uninterrupted run;
+//!   bit-identical sorted history versus an uninterrupted run. The drill
+//!   runs under its own tracer, so its server-side `report` latency
+//!   (p50/p99) times journal-before-ack reports only;
 //! * an eviction drill: ≥ 1024 logical sessions share a resident table
 //!   capped far below the fleet size; the cap must hold throughout and
 //!   every evicted session must come back from the archive intact;
@@ -25,14 +27,19 @@
 //!   `gptune.gp.fit` spans opened meanwhile count hyperparameter
 //!   optimizations a restore re-ran (`fits_during_open`), which must be 0.
 //!
+//! The robustness counters sum both tracers; they include the surrogate
+//! refits by kind (`refit_full`, `refit_incremental`) and the NLL-drift
+//! trips that forced a full refit (`nll_drift_events`).
+//!
 //! Usage: `serve_bench [output.json] [--smoke]` — `--smoke` shrinks the
 //! fleet for the tier-1 gate while exercising every phase.
 
+use gptune::db::lock::lock_path_for;
 use gptune::serve::{
     serve, BackoffPolicy, ProblemSpec, ServeClient, ServeOptions, SessionOptions, SessionStore,
 };
 use gptune::space::{Param, Value};
-use gptune::trace::{self, Tracer};
+use gptune::trace::{self, MetricsSnapshot, Tracer};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
@@ -209,6 +216,7 @@ fn run_kill_drill(reports: usize, tmp: &std::path::Path) -> KillStats {
     let recovered = client2.history().expect("history").len();
     server.shutdown();
     let _ = std::fs::remove_file(&wal);
+    let _ = std::fs::remove_file(lock_path_for(&wal));
 
     KillStats {
         journaled,
@@ -238,13 +246,19 @@ struct ArchiveStats {
     final_rows: usize,
     lost: i64,
     bit_identical: bool,
+    /// The drill's own tracer: its `report` latency histogram holds only
+    /// journal-before-ack reports.
+    metrics: MetricsSnapshot,
 }
 
 /// The server-side durability drill: every acknowledged report is
 /// journaled into the session archive before the ack, so a kill-restart
 /// recovers the session from disk alone — the replacement client carries
-/// no WAL and replays nothing.
+/// no WAL and replays nothing. The drill's servers record into a tracer of
+/// their own, installed for the drill's duration.
 fn run_archive_drill(reports: usize, kill_at: usize, tmp: &std::path::Path) -> ArchiveStats {
+    let tracer = Tracer::ring(1 << 12);
+    let outer = trace::install(tracer.clone());
     let root = tmp.join(format!("serve_bench_archive_{}", std::process::id()));
     let clean_root = tmp.join(format!("serve_bench_archive_clean_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
@@ -305,6 +319,7 @@ fn run_archive_drill(reports: usize, kill_at: usize, tmp: &std::path::Path) -> A
         .collect();
     expected.sort();
     clean.shutdown();
+    trace::install(outer);
     let _ = std::fs::remove_dir_all(&root);
     let _ = std::fs::remove_dir_all(&clean_root);
 
@@ -314,6 +329,7 @@ fn run_archive_drill(reports: usize, kill_at: usize, tmp: &std::path::Path) -> A
         final_rows: got.len(),
         lost: accepted as i64 - recovered as i64,
         bit_identical: got == expected,
+        metrics: tracer.metrics(),
     }
 }
 
@@ -476,8 +492,7 @@ fn run_restore_drill(sessions: usize, tmp: &std::path::Path) -> RestoreStats {
     }
 }
 
-fn quantiles(op: &str) -> (u64, u64, u64) {
-    let m = trace::global().metrics();
+fn quantiles(m: &MetricsSnapshot, op: &str) -> (u64, u64, u64) {
     match m.histogram(&format!("gptune.serve.latency_us.{op}")) {
         Some(h) => (h.count, h.p50(), h.p99()),
         None => (0, 0, 0),
@@ -526,9 +541,10 @@ fn main() {
     let burst = run_burst(sessions, threads, reports_per_session, addr, || {
         server.n_sessions()
     });
-    let (sug_n, sug_p50, sug_p99) = quantiles("suggest");
-    let (rep_n, rep_p50, rep_p99) = quantiles("report");
-    let (open_n, open_p50, open_p99) = quantiles("open_session");
+    let burst_metrics = trace::global().metrics();
+    let (sug_n, sug_p50, sug_p99) = quantiles(&burst_metrics, "suggest");
+    let (rep_n, rep_p50, rep_p99) = quantiles(&burst_metrics, "report");
+    let (open_n, open_p50, open_p99) = quantiles(&burst_metrics, "open_session");
     // Drain rather than kill: exercises the graceful path (flush + typed
     // `draining` errors) and the `gptune.serve.drains` counter.
     server.drain();
@@ -538,8 +554,10 @@ fn main() {
     let evict = run_eviction_drill(evict_logical, evict_cap, &std::env::temp_dir());
     let restore = run_restore_drill(restore_sessions, &std::env::temp_dir());
 
-    let m = trace::global().metrics();
-    let counter = |name: &str| m.counter(name).unwrap_or(0);
+    let (arch_rep_n, arch_rep_p50, arch_rep_p99) = quantiles(&archive.metrics, "report");
+    let snapshots = [trace::global().metrics(), archive.metrics];
+    let counter =
+        |name: &str| -> u64 { snapshots.iter().map(|m| m.counter(name).unwrap_or(0)).sum() };
     let rps = burst.requests as f64 / burst.wall_s.max(1e-9);
     let json = format!(
         "{{\n  \"config\": {{\"sessions\": {}, \"client_threads\": {}, \
@@ -554,14 +572,16 @@ fn main() {
          \"replayed\": {}, \"recovered\": {}, \"lost_reports\": {}}},\n  \
          \"archive_drill\": {{\"reports\": {}, \"accepted_before_kill\": {}, \
          \"recovered_at_restart\": {}, \"final_rows\": {}, \
-         \"lost_reports\": {}, \"bit_identical\": {}}},\n  \
+         \"lost_reports\": {}, \"bit_identical\": {}, \
+         \"report_us\": {{\"count\": {}, \"p50\": {}, \"p99\": {}}}}},\n  \
          \"eviction_drill\": {{\"logical_sessions\": {}, \"resident_cap\": {}, \
          \"peak_resident\": {}, \"missing_rows\": {}}},\n  \
          \"restore_drill\": {{\"sessions\": {}, \"model_images\": {}, \
          \"open_us\": {{\"p50\": {}, \"p99\": {}}}, \"fits_during_open\": {}}},\n  \
          \"robustness_counters\": {{\"evictions\": {}, \"restores\": {}, \
          \"sheds\": {}, \"timeouts\": {}, \"drains\": {}, \
-         \"archive_errors\": {}}}\n}}\n",
+         \"archive_errors\": {}, \"refit_full\": {}, \"refit_incremental\": {}, \
+         \"nll_drift_events\": {}}}\n}}\n",
         burst.sessions,
         threads,
         reports_per_session,
@@ -591,6 +611,9 @@ fn main() {
         archive.final_rows,
         archive.lost,
         archive.bit_identical,
+        arch_rep_n,
+        arch_rep_p50,
+        arch_rep_p99,
         evict.logical,
         evict.cap,
         evict.peak_resident,
@@ -606,6 +629,9 @@ fn main() {
         counter("gptune.serve.timeouts"),
         counter("gptune.serve.drains"),
         counter("gptune.serve.archive_errors"),
+        counter("gptune.gp.refit.full"),
+        counter("gptune.gp.refit.incremental"),
+        counter("gptune.gp.nll_drift_events"),
     );
     std::fs::write(&out_path, &json).expect("write BENCH_serve.json");
     print!("{json}");

@@ -6,7 +6,8 @@
 //! ```text
 //! <root>/
 //!   <problem>-<sig:016x>.jsonl        one journal per problem signature
-//!   <problem>-<sig:016x>.jsonl.lock   advisory lockfile (transient)
+//!   <problem>-<sig:016x>.jsonl.lock   lock file of that journal (persistent,
+//!                                     holds no data)
 //!   ckpt-<sig:016x>-<run:016x>.json   in-flight checkpoint of one run
 //!                                     (removed on completion)
 //! ```

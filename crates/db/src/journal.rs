@@ -11,7 +11,7 @@
 use crate::fsio;
 use crate::lock::{FileLock, LockOptions};
 use crate::record::DbEntry;
-use std::fs;
+use std::fs::{self, File, OpenOptions};
 use std::io;
 use std::path::Path;
 
@@ -148,36 +148,41 @@ pub fn load(path: &Path) -> io::Result<(Vec<DbEntry>, RecoveryReport)> {
 }
 
 /// Appends entries to a journal under its advisory lock, fsyncing once
-/// after the batch. Returns the number of entries written.
+/// after the batch. An append that creates the journal also fsyncs its
+/// directory, so the new file's name survives a crash along with the
+/// records in it. Returns the number of entries written.
 pub fn append(path: &Path, entries: &[DbEntry], lock: &LockOptions) -> io::Result<usize> {
     if entries.is_empty() {
         return Ok(0);
     }
     let _guard = FileLock::acquire(path, lock)?;
+    let (mut f, created) = match OpenOptions::new().read(true).append(true).open(path) {
+        Ok(f) => (f, false),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => (fsio::open_append(path)?, true),
+        Err(e) => return Err(e),
+    };
     let mut buf = String::new();
     // A previous writer may have died mid-line (torn tail). Terminate the
     // torn line first so the new records stay parseable on their own lines
     // — recovery then drops the tear alone, never a fresh record.
-    if !ends_with_newline(path)? {
+    if !created && !ends_with_newline(&mut f)? {
         buf.push('\n');
     }
     for e in entries {
         buf.push_str(&e.to_line());
         buf.push('\n');
     }
-    let mut f = fsio::open_append(path)?;
     fsio::append_durable(&mut f, buf.as_bytes())?;
+    if created {
+        let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+        fsio::sync_dir(dir.unwrap_or(Path::new(".")));
+    }
     Ok(entries.len())
 }
 
-/// `true` when `path` is missing, empty, or ends with `\n`.
-fn ends_with_newline(path: &Path) -> io::Result<bool> {
+/// `true` when `f` is empty or ends with `\n`.
+fn ends_with_newline(f: &mut File) -> io::Result<bool> {
     use std::io::{Read, Seek, SeekFrom};
-    let mut f = match fs::File::open(path) {
-        Ok(f) => f,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(true),
-        Err(e) => return Err(e),
-    };
     if f.seek(SeekFrom::End(0))? == 0 {
         return Ok(true);
     }

@@ -11,9 +11,10 @@
 //!   Writers append whole lines and fsync; recovery tolerates a torn
 //!   final line (dropped) and corrupt interior lines (skipped, counted)
 //!   so a crash costs at most the record being written;
-//! * [`lock`] — advisory lockfile (`O_CREAT|O_EXCL`) protocol with stale
-//!   detection, so multiple tuner processes share one archive without
-//!   lost records;
+//! * [`lock`] — a kernel advisory lock on a persistent sibling
+//!   `<journal>.lock` file, released the moment its holder exits, so
+//!   multiple tuner processes share one archive without lost records and
+//!   a killed writer never blocks the next;
 //! * [`fsio`] — atomic snapshot writes (temp + fsync + rename +
 //!   dir-fsync) used by checkpoints, compaction, shards and their
 //!   manifests, and the serve session store;

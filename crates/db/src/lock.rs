@@ -1,19 +1,24 @@
 //! Advisory file locking for shared archives.
 //!
-//! Multiple tuner processes may append to one journal. Rather than relying
-//! on platform-specific `flock`, the lock is a *lockfile*: `<path>.lock`
-//! created with `O_CREAT|O_EXCL` (atomic on every platform std supports).
-//! Whoever creates the file owns the lock; dropping the guard removes it.
+//! Multiple tuner processes may append to one journal. The lock is a
+//! kernel advisory lock (std's [`File::try_lock`]: `flock` on Unix,
+//! `LockFileEx` on Windows) on the sibling file `<path>.lock`. The sibling
+//! is created by the first acquisition and then persists; it holds no data.
+//! It is a sibling rather than the journal itself because `shard::split`
+//! and `shard::compact` replace the journal by rename, and a lock on the
+//! replaced inode would not exclude a writer that opens the new one.
 //!
-//! Crash recovery: a holder that dies leaves the lockfile behind, so
-//! acquisition treats a lockfile older than `stale_after` as abandoned and
-//! breaks it. The lockfile records the owner PID and a timestamp for
-//! debugging.
+//! Acquisition writes, syncs and removes nothing, so a durable append pays
+//! for one device flush: its own. Dropping the guard releases the lock, and
+//! the kernel releases a dead holder's lock the moment the process exits,
+//! so a killed writer never wedges the archive and there is no stale-lock
+//! detection. Where `flock` is emulated by POSIX record locks (NFS), the
+//! lock excludes other processes but not other threads of one process.
 
-use std::fs::{self, OpenOptions};
-use std::io::{self, Write};
+use std::fs::{self, File, OpenOptions, TryLockError};
+use std::io;
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant, SystemTime};
+use std::time::{Duration, Instant};
 
 /// How lock acquisition behaves under contention.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -22,9 +27,6 @@ pub struct LockOptions {
     pub timeout: Duration,
     /// Delay between acquisition attempts.
     pub retry_every: Duration,
-    /// Break a lockfile whose mtime is older than this (holder presumed
-    /// dead).
-    pub stale_after: Duration,
 }
 
 impl Default for LockOptions {
@@ -32,71 +34,56 @@ impl Default for LockOptions {
         LockOptions {
             timeout: Duration::from_secs(10),
             retry_every: Duration::from_millis(2),
-            stale_after: Duration::from_secs(30),
         }
     }
 }
 
-/// An acquired advisory lock. Released (lockfile removed) on drop.
+/// An acquired advisory lock. Dropping it closes the lock file, which
+/// releases the lock.
 #[derive(Debug)]
 pub struct FileLock {
+    _file: File,
     lock_path: PathBuf,
 }
 
 impl FileLock {
-    /// Acquires the advisory lock guarding `resource` (the lockfile is
+    /// Acquires the advisory lock guarding `resource` (held on
     /// `<resource>.lock`), waiting up to `opts.timeout`.
     pub fn acquire(resource: &Path, opts: &LockOptions) -> io::Result<FileLock> {
         let lock_path = lock_path_for(resource);
         if let Some(d) = lock_path.parent().filter(|p| !p.as_os_str().is_empty()) {
             fs::create_dir_all(d)?;
         }
+        let file = OpenOptions::new()
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(&lock_path)?;
         let start = Instant::now();
         loop {
-            match OpenOptions::new()
-                .write(true)
-                .create_new(true)
-                .open(&lock_path)
-            {
-                Ok(mut f) => {
-                    let stamp = SystemTime::now()
-                        .duration_since(SystemTime::UNIX_EPOCH)
-                        .map(|d| d.as_secs())
-                        .unwrap_or(0);
-                    let _ = writeln!(f, "pid={} t={stamp}", std::process::id());
-                    let _ = f.sync_data();
-                    return Ok(FileLock { lock_path });
-                }
-                Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
-                    // Contended: break stale locks, otherwise wait and retry.
-                    if is_stale(&lock_path, opts.stale_after) {
-                        // Racy removal is fine: whoever wins create_new next
-                        // owns the lock; losers keep retrying.
-                        let _ = fs::remove_file(&lock_path);
-                        continue;
-                    }
-                    if start.elapsed() >= opts.timeout {
-                        return Err(io::Error::new(
-                            io::ErrorKind::TimedOut,
-                            format!("lock {} held too long", lock_path.display()),
-                        ));
-                    }
+            match file.try_lock() {
+                Ok(()) => break,
+                Err(TryLockError::WouldBlock) if start.elapsed() < opts.timeout => {
                     std::thread::sleep(opts.retry_every);
                 }
-                Err(e) => return Err(e),
+                Err(TryLockError::WouldBlock) => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::TimedOut,
+                        format!("lock {} held too long", lock_path.display()),
+                    ));
+                }
+                Err(TryLockError::Error(e)) => return Err(e),
             }
         }
+        Ok(FileLock {
+            _file: file,
+            lock_path,
+        })
     }
 
     /// The lockfile path (for diagnostics).
     pub fn path(&self) -> &Path {
         &self.lock_path
-    }
-}
-
-impl Drop for FileLock {
-    fn drop(&mut self) {
-        let _ = fs::remove_file(&self.lock_path);
     }
 }
 
@@ -108,16 +95,6 @@ pub fn lock_path_for(resource: &Path) -> PathBuf {
         .unwrap_or_else(|| "resource".to_string());
     name.push_str(".lock");
     resource.with_file_name(name)
-}
-
-fn is_stale(lock_path: &Path, stale_after: Duration) -> bool {
-    match fs::metadata(lock_path).and_then(|m| m.modified()) {
-        Ok(mtime) => match SystemTime::now().duration_since(mtime) {
-            Ok(age) => age > stale_after,
-            Err(_) => false, // mtime in the future: clock skew, not stale
-        },
-        Err(_) => false, // vanished: next create_new attempt resolves it
-    }
 }
 
 #[cfg(test)]
@@ -153,7 +130,6 @@ mod tests {
         let fast = LockOptions {
             timeout: Duration::from_millis(40),
             retry_every: Duration::from_millis(5),
-            stale_after: Duration::from_secs(60),
         };
         let e = FileLock::acquire(&r, &fast).unwrap_err();
         assert_eq!(e.kind(), io::ErrorKind::TimedOut);
@@ -164,13 +140,12 @@ mod tests {
     fn stale_lock_is_broken() {
         let d = tmpdir("stale");
         let r = d.join("j.jsonl");
-        // Simulate a dead holder's leftover lockfile.
+        // A lockfile left behind by a holder that no longer runs, in the
+        // pid-stamped form older versions wrote: it holds no lock.
         fs::write(lock_path_for(&r), "pid=0 t=0").unwrap();
-        std::thread::sleep(Duration::from_millis(30));
         let opts = LockOptions {
             timeout: Duration::from_millis(500),
             retry_every: Duration::from_millis(2),
-            stale_after: Duration::from_millis(10),
         };
         let l = FileLock::acquire(&r, &opts).unwrap();
         drop(l);

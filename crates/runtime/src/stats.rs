@@ -433,13 +433,21 @@ mod tests {
         // Writers and reader start together, so the reader runs while the
         // writers accumulate even when the scheduler is busy.
         let start = std::sync::Arc::new(std::sync::Barrier::new(5));
+        // Writers do half their adds and wait here for the reader's first
+        // snapshot, so at least one is taken mid-accumulation even when
+        // the reader is descheduled until the writers would have finished.
+        let half = std::sync::Arc::new(std::sync::Barrier::new(5));
         let mut writers = Vec::new();
         for _ in 0..4 {
             let t = std::sync::Arc::clone(&t);
             let start = std::sync::Arc::clone(&start);
+            let half = std::sync::Arc::clone(&half);
             writers.push(std::thread::spawn(move || {
                 start.wait();
-                for _ in 0..2000 {
+                for i in 0..2000 {
+                    if i == 1000 {
+                        half.wait();
+                    }
                     t.add_objective_run(0.5);
                 }
             }));
@@ -448,19 +456,26 @@ mod tests {
             let t = std::sync::Arc::clone(&t);
             let stop = std::sync::Arc::clone(&stop);
             let start = std::sync::Arc::clone(&start);
+            let half = std::sync::Arc::clone(&half);
             std::thread::spawn(move || {
                 start.wait();
+                let mut s = t.snapshot();
+                // Checked after the barrier: a torn snapshot fails the test
+                // instead of leaving the writers waiting.
+                half.wait();
                 let mut checks = 0usize;
-                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                    let s = t.snapshot();
+                loop {
                     assert_eq!(
                         s.objective_virtual_secs,
                         s.n_evals as f64 * 0.5,
                         "snapshot tore across paired fields"
                     );
                     checks += 1;
+                    if stop.load(std::sync::atomic::Ordering::Relaxed) {
+                        break checks;
+                    }
+                    s = t.snapshot();
                 }
-                checks
             })
         };
         for w in writers {

@@ -34,8 +34,8 @@ use gptune_core::db_bridge::{config_to_db, db_to_config};
 use gptune_core::{LcmHyperparams, ModelState};
 use gptune_db::json::{self, Json};
 use gptune_db::{
-    atomic_write, fnv1a, journal, sanitize, shard, DbEntry, DbRecord, LockOptions, Provenance,
-    RecoveryReport,
+    atomic_write, fnv1a, journal, lock, sanitize, shard, DbEntry, DbRecord, LockOptions,
+    Provenance, RecoveryReport,
 };
 use gptune_space::Config;
 use std::io;
@@ -287,16 +287,19 @@ impl SessionStore {
         }))
     }
 
-    /// Removes every trace of a session (meta, live journal, manifest,
-    /// shards). `Close` calls this so a re-open starts genuinely fresh.
+    /// Removes every trace of a session (meta, live journal and its lock
+    /// file, manifest, shards). `Close` calls this so a re-open starts
+    /// genuinely fresh.
     pub fn purge(&self, tenant: &str, name: &str) -> io::Result<()> {
         let Some(stored) = self.load(tenant, name)? else {
             return Ok(());
         };
         let problem = Self::problem_key(tenant, name);
         let sig = Self::sig_of(&stored.spec);
+        let live = shard::live_journal_path(&self.root, &problem, sig);
         let mut doomed = vec![
-            shard::live_journal_path(&self.root, &problem, sig),
+            lock::lock_path_for(&live),
+            live,
             shard::manifest_path(&self.root, &problem, sig),
             self.meta_path(tenant, name),
         ];

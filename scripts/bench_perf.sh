@@ -18,10 +18,12 @@
 #                        suggest/report sessions, p50/p99 request latency
 #                        from the gptune-trace histograms, the
 #                        kill-the-server WAL-replay, archive and eviction
-#                        drills (0 lost reports), and the restore drill:
-#                        open_session p50/p99 over 64 drained sessions
-#                        restored from their surrogate images, with
-#                        fits_during_open (must be 0)
+#                        drills (0 lost reports; the archive drill's own
+#                        journal-before-ack report p50/p99), the restore
+#                        drill: open_session p50/p99 over 64 drained
+#                        sessions restored from their surrogate images,
+#                        with fits_during_open (must be 0), and refit
+#                        counts by kind plus NLL-drift trips
 #
 # Each emitter validates its own acceptance bars and exits non-zero on a
 # regression; this wrapper additionally verifies that every expected

@@ -88,6 +88,14 @@ while read -r lost; do
     exit 1
   fi
 done < <(grep -o '"lost_reports": [0-9-]*' "$trace_dir/BENCH_serve_smoke.json" | grep -o '[0-9-]*$')
+# A failed archive load, append (a journal lock timeout included), flush or
+# purge counts in robustness_counters.archive_errors; it must read 0.
+archive_errors="$(grep -o '"archive_errors": [0-9]*' "$trace_dir/BENCH_serve_smoke.json" |
+  grep -o '[0-9]*$' || true)"
+if [ "$archive_errors" != "0" ]; then
+  echo "serve smoke: archive_errors is '${archive_errors}', expected 0" >&2
+  exit 1
+fi
 if ! grep -q '"bit_identical": true' "$trace_dir/BENCH_serve_smoke.json"; then
   echo "serve smoke: post-recovery history diverged from the clean run" >&2
   exit 1
