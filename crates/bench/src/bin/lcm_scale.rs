@@ -1,36 +1,24 @@
-//! Scaling recorder for the incremental-LCM PR. Writes
+//! Scaling recorder for the incremental LCM. Writes
 //! `BENCH_lcm_scale.json` (path overridable as the first CLI argument)
-//! with the three acceptance claims:
-//!
-//! * **per-iteration model cost**: extending a fitted model by one point
-//!   via [`LcmModel::extend`] (rank-1 Cholesky row append, O(n²)) vs
-//!   rebuilding from scratch at fixed hyperparameters via
-//!   [`LcmModel::from_hyperparams`] (O(n³)), at n ∈ {512, 1024, 4096} —
-//!   the incremental path must be ≥ 5× faster at n = 4096 and its cost
-//!   curve must look quadratic, not cubic;
-//! * **capped fit cost**: [`LcmFitOptions::max_active_set`] = 512 keeps
-//!   the hyperparameter fit operating on a bounded active set, so fit
-//!   wall time stays roughly flat as the history grows past the cap;
-//! * **capped predict cost**: per-candidate [`LcmModel::predict_batch`]
-//!   latency on the capped model stays flat across n while the uncapped
-//!   model's grows linearly with history size.
+//! with the per-iteration model cost: extending a fitted model by one
+//! point via [`LcmModel::extend`] (rank-1 Cholesky row append, O(n²)) vs
+//! rebuilding from scratch at fixed hyperparameters via
+//! [`LcmModel::from_hyperparams`] (O(n³)), at n ∈ {512, 1024, 4096}. The
+//! incremental path must be ≥ 5× faster at n = 4096, and its cost curve
+//! must look quadratic, not cubic.
 //!
 //! Timing follows the `lcm_perf` discipline: optimized and baseline paths
 //! are timed back-to-back in pairs and the reported speedup is the median
 //! of per-pair ratios; every timed result feeds a printed sink so the
 //! work cannot be elided. Run via `scripts/bench_perf.sh`.
 
-use gptune::gp::{KernelKind, LcmFitOptions, LcmHyperparams, LcmModel};
-use gptune::la::par;
-use gptune::opt::lbfgs::LbfgsOptions;
+use gptune::gp::{KernelKind, LcmHyperparams, LcmModel};
 use gptune::rng::{Rng, SeedableRng, StdRng};
 use std::time::Instant;
 
 const DIM: usize = 4;
 const TASKS: usize = 2;
 const Q: usize = 2;
-const CAP: usize = 512;
-const M_CANDS: usize = 128;
 const SIZES: [usize; 3] = [512, 1024, 4096];
 
 fn data(n: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<usize>, Vec<f64>) {
@@ -65,13 +53,6 @@ fn median(mut samples: Vec<f64>) -> f64 {
 }
 
 fn main() {
-    // Every fit and batched prediction below runs at the machine's width,
-    // so restarts and prediction chunks are timed in parallel on all cores.
-    let width = std::thread::available_parallelism().map_or(1, |n| n.get());
-    par::with_width(width, run);
-}
-
-fn run() {
     let out_path = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "BENCH_lcm_scale.json".to_string());
@@ -132,69 +113,10 @@ fn run() {
         extend_rows.push((n, median(t_inc), median(t_scr), median(ratio)));
     }
 
-    // --- capped fit + capped vs uncapped predict, per history size --------
-    let fit_opts = LcmFitOptions {
-        n_starts: 1,
-        max_active_set: Some(CAP),
-        lbfgs: LbfgsOptions {
-            max_iters: 8,
-            ..Default::default()
-        },
-        seed: 5,
-        ..Default::default()
-    };
-    let mut rng = StdRng::seed_from_u64(17);
-    let cands: Vec<Vec<f64>> = (0..M_CANDS)
-        .map(|_| (0..DIM).map(|_| rng.gen::<f64>()).collect())
-        .collect();
-    let mc = M_CANDS as f64;
-    let mut cap_rows = Vec::new();
-    for &n in &SIZES {
-        let (xs, task_of, y) = data(n, 9);
-        // Capped fit: the active set is bounded at CAP points, so this
-        // cost must stay roughly flat as n grows past the cap.
-        let t = Instant::now();
-        let capped = LcmModel::fit(&xs, &task_of, &y, TASKS, &fit_opts);
-        let fit_ms = t.elapsed().as_nanos() as f64 / 1e6;
-        sink += capped.nll();
-        // Uncapped counterpart at the same hyperparameters — prediction
-        // over the full n-point history.
-        let uncapped = LcmModel::from_hyperparams(
-            &xs,
-            &task_of,
-            &y,
-            TASKS,
-            fit_opts.kernel,
-            capped.hyperparams().clone(),
-            None,
-        );
-        let reps = if n >= 4096 { 3 } else { 5 };
-        let mut t_cap = Vec::with_capacity(reps);
-        let mut t_unc = Vec::with_capacity(reps);
-        for _ in 0..reps {
-            let t = Instant::now();
-            sink += capped
-                .predict_batch(0, &cands)
-                .iter()
-                .map(|p| p.mean + p.variance)
-                .sum::<f64>();
-            t_cap.push(t.elapsed().as_nanos() as f64);
-            let t = Instant::now();
-            sink += uncapped
-                .predict_batch(0, &cands)
-                .iter()
-                .map(|p| p.mean + p.variance)
-                .sum::<f64>();
-            t_unc.push(t.elapsed().as_nanos() as f64);
-        }
-        cap_rows.push((n, fit_ms, median(t_cap) / mc, median(t_unc) / mc));
-    }
-
     // --- report -----------------------------------------------------------
     let mut json = String::from("{\n  \"config\": {");
     json.push_str(&format!(
-        "\"dim\": {DIM}, \"n_tasks\": {TASKS}, \"q\": {Q}, \"cap\": {CAP}, \
-         \"m_candidates\": {M_CANDS}}},\n"
+        "\"dim\": {DIM}, \"n_tasks\": {TASKS}, \"q\": {Q}}},\n"
     ));
     json.push_str("  \"per_iteration_model_cost\": {\n");
     for (idx, (n, inc, scr, speedup)) in extend_rows.iter().enumerate() {
@@ -204,16 +126,6 @@ fn run() {
              \"speedup\": {speedup:.1}}}{comma}\n",
         ));
     }
-    json.push_str("  },\n");
-    json.push_str("  \"capped_active_set\": {\n");
-    for (idx, (n, fit_ms, cap_ns, unc_ns)) in cap_rows.iter().enumerate() {
-        let comma = if idx + 1 < cap_rows.len() { "," } else { "" };
-        json.push_str(&format!(
-            "    \"n{n}\": {{\"capped_fit_ms\": {fit_ms:.1}, \
-             \"capped_predict_ns_per_cand\": {cap_ns:.0}, \
-             \"uncapped_predict_ns_per_cand\": {unc_ns:.0}}}{comma}\n",
-        ));
-    }
     json.push_str("  }\n}\n");
 
     std::fs::write(&out_path, &json).expect("write BENCH_lcm_scale.json");
@@ -221,22 +133,10 @@ fn run() {
     eprintln!("sink {sink}");
     eprintln!("wrote {out_path}");
 
-    // Acceptance tripwires, enforced at the largest size.
+    // Acceptance tripwire, enforced at the largest size.
     let (_, _, _, speedup_4096) = extend_rows[extend_rows.len() - 1];
     assert!(
         speedup_4096 >= 5.0,
         "incremental extension only {speedup_4096:.1}x faster than from-scratch at n=4096"
-    );
-    let (_, _, cap_small, _) = cap_rows[0];
-    let (_, _, cap_large, unc_large) = cap_rows[cap_rows.len() - 1];
-    assert!(
-        cap_large <= unc_large,
-        "capped predict slower than uncapped at n=4096"
-    );
-    assert!(
-        cap_large <= cap_small * 4.0,
-        "capped predict cost is not flat: {cap_small:.0}ns at n={}, {cap_large:.0}ns at n={}",
-        SIZES[0],
-        SIZES[SIZES.len() - 1]
     );
 }

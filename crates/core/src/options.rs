@@ -46,7 +46,7 @@ pub struct MlaOptions {
     /// (paper Sec. 3.1) when `None`.
     pub n_initial: Option<usize>,
     /// LCM fitting configuration (latent count `Q`, multi-start count
-    /// `n_start`, inner L-BFGS budget, base seed, active-set cap).
+    /// `n_start`, inner L-BFGS budget, base seed).
     pub lcm: LcmFitOptions,
     /// When the surrogate re-optimizes hyperparameters vs. extends the
     /// existing factor incrementally in O(n²). The default refits fully

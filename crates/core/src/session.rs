@@ -70,8 +70,8 @@ pub struct SessionSnapshot {
     /// Accepted reports in arrival order: `(task, config, outputs)`.
     pub history: Vec<(usize, Config, Vec<f64>)>,
     /// Image of the incremental surrogate; `None` under the default
-    /// always-full schedule (or when the active-set cap has engaged), in
-    /// which case restore refits from history exactly as before.
+    /// always-full schedule (or before the first fit), in which case
+    /// restore refits from history exactly as before.
     pub model_state: Option<ModelState>,
 }
 

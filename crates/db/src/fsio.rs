@@ -17,10 +17,8 @@ use std::path::{Path, PathBuf};
 /// fsync, rename over the destination, then fsync the directory so the
 /// rename itself is durable.
 pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
-    if let Some(d) = dir {
-        fs::create_dir_all(d)?;
-    }
+    let dir = parent_dir(path);
+    fs::create_dir_all(dir)?;
     let tmp = temp_sibling(path);
     {
         let mut f = File::create(&tmp)?;
@@ -34,10 +32,18 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
             return Err(e);
         }
     }
-    if let Some(d) = dir {
-        sync_dir(d);
-    }
+    sync_dir(dir);
     Ok(())
+}
+
+/// The directory holding `path`: its parent, or `.` for a bare file name
+/// (whose parent is the empty path), so the directory entry of `x.json`
+/// is synced like that of `a/x.json`.
+pub fn parent_dir(path: &Path) -> &Path {
+    match path.parent() {
+        Some(d) if !d.as_os_str().is_empty() => d,
+        _ => Path::new("."),
+    }
 }
 
 /// A unique temp-file path in the same directory as `path` (same
@@ -66,9 +72,7 @@ pub fn sync_dir(dir: &Path) {
 /// Opens a file for durable appending, creating it (and its directory)
 /// when missing.
 pub fn open_append(path: &Path) -> io::Result<File> {
-    if let Some(d) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-        fs::create_dir_all(d)?;
-    }
+    fs::create_dir_all(parent_dir(path))?;
     OpenOptions::new().create(true).append(true).open(path)
 }
 
@@ -114,6 +118,12 @@ mod tests {
         atomic_write(&p, b"data").unwrap();
         assert_eq!(fs::read(&p).unwrap(), b"data");
         let _ = fs::remove_dir_all(d.parent().unwrap().parent().unwrap());
+    }
+
+    #[test]
+    fn parent_dir_of_a_bare_name_is_the_working_directory() {
+        assert_eq!(parent_dir(Path::new("x.json")), Path::new("."));
+        assert_eq!(parent_dir(Path::new("a/x.json")), Path::new("a"));
     }
 
     #[test]

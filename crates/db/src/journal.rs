@@ -174,8 +174,7 @@ pub fn append(path: &Path, entries: &[DbEntry], lock: &LockOptions) -> io::Resul
     }
     fsio::append_durable(&mut f, buf.as_bytes())?;
     if created {
-        let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
-        fsio::sync_dir(dir.unwrap_or(Path::new(".")));
+        fsio::sync_dir(fsio::parent_dir(path));
     }
     Ok(entries.len())
 }

@@ -2,9 +2,8 @@
 //!
 //! JSONL journals (format v1) are the live write head: append-only,
 //! line-oriented, recoverable after torn writes. Archived shards do not
-//! need appendability — they are written once by `shard::split`,
-//! `db_tool migrate-v2`, or compaction — so v2 trades line-oriented
-//! repairability for size:
+//! need appendability — [`crate::shard::split`] writes each one once — so
+//! v2 trades line-oriented repairability for size:
 //!
 //! * the problem name and signature are stored once in the header instead
 //!   of on every record;
@@ -17,9 +16,10 @@
 //!   recovery contract as [`crate::journal::load`].
 //!
 //! v2 files are written atomically ([`crate::fsio::atomic_write`]) and are
-//! never appended to. The JSONL reader stays the migration path: `load`
-//! returns the same `(Vec<DbEntry>, RecoveryReport)` shape, so shard-aware
-//! readers and `db_tool merge` treat both formats uniformly.
+//! never appended to. `load` returns the same `(Vec<DbEntry>,
+//! RecoveryReport)` shape as the JSONL reader, so
+//! [`crate::shard::load_all`] folds shards and the live journal into one
+//! report.
 
 use crate::fsio;
 use crate::journal::{RecordError, RecordErrorKind, RecoveryReport};

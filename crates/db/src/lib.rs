@@ -70,4 +70,4 @@ pub use lock::{FileLock, LockOptions};
 pub use record::{
     fnv1a, DbEntry, DbRecord, DbValue, FailKind, FailRecord, Provenance, RunStats, RunSummary,
 };
-pub use shard::{ShardFormat, ShardInfo, ShardManifest, ShardPolicy};
+pub use shard::{ShardInfo, ShardManifest, ShardPolicy};

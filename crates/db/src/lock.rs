@@ -15,6 +15,7 @@
 //! detection. Where `flock` is emulated by POSIX record locks (NFS), the
 //! lock excludes other processes but not other threads of one process.
 
+use crate::fsio;
 use std::fs::{self, File, OpenOptions, TryLockError};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -48,17 +49,24 @@ pub struct FileLock {
 
 impl FileLock {
     /// Acquires the advisory lock guarding `resource` (held on
-    /// `<resource>.lock`), waiting up to `opts.timeout`.
+    /// `<resource>.lock`), waiting up to `opts.timeout`. The lock's
+    /// directory is created only when it does not exist yet.
     pub fn acquire(resource: &Path, opts: &LockOptions) -> io::Result<FileLock> {
         let lock_path = lock_path_for(resource);
-        if let Some(d) = lock_path.parent().filter(|p| !p.as_os_str().is_empty()) {
-            fs::create_dir_all(d)?;
-        }
-        let file = OpenOptions::new()
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(&lock_path)?;
+        let open = || {
+            OpenOptions::new()
+                .write(true)
+                .create(true)
+                .truncate(false)
+                .open(&lock_path)
+        };
+        let file = match open() {
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {
+                fs::create_dir_all(fsio::parent_dir(&lock_path))?;
+                open()?
+            }
+            opened => opened?,
+        };
         let start = Instant::now();
         loop {
             match file.try_lock() {
@@ -119,6 +127,16 @@ mod tests {
         drop(l);
         let l2 = FileLock::acquire(&r, &LockOptions::default()).unwrap();
         drop(l2);
+        let _ = fs::remove_dir_all(&d);
+    }
+
+    #[test]
+    fn acquire_creates_a_missing_directory() {
+        let d = tmpdir("mkdir");
+        let r = d.join("a").join("b").join("j.jsonl");
+        let l = FileLock::acquire(&r, &LockOptions::default()).unwrap();
+        assert!(l.path().exists());
+        drop(l);
         let _ = fs::remove_dir_all(&d);
     }
 

@@ -27,8 +27,9 @@
 //! live journal into one deduplicated view — so every crash window of
 //! [`split`] (shards written but no manifest; manifest written but the
 //! live journal not yet truncated) degrades to duplicates that
-//! deduplication removes, never to data loss. Shards in the manifest may
-//! be v1 (JSONL) or v2; `db_tool migrate-v2` upgrades v1 shards in place.
+//! deduplication removes, never to data loss. Every manifest shard is v2
+//! (`"format": "v2"`); a manifest entry naming any other format fails to
+//! load with `InvalidData`.
 
 use crate::db::sanitize;
 use crate::fsio;
@@ -61,39 +62,15 @@ impl ShardPolicy {
     }
 }
 
-/// Storage format of one shard file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardFormat {
-    /// JSONL (journal format v1) — the migration path.
-    Jsonl,
-    /// Compressed binary journal format v2.
-    V2,
-}
+/// The `format` every manifest shard entry carries: the compressed
+/// binary journal format v2 ([`crate::journal_v2`]).
+const SHARD_FORMAT: &str = "v2";
 
-impl ShardFormat {
-    fn as_str(&self) -> &'static str {
-        match self {
-            ShardFormat::Jsonl => "jsonl",
-            ShardFormat::V2 => "v2",
-        }
-    }
-
-    fn parse(s: &str) -> Option<ShardFormat> {
-        match s {
-            "jsonl" => Some(ShardFormat::Jsonl),
-            "v2" => Some(ShardFormat::V2),
-            _ => None,
-        }
-    }
-}
-
-/// One shard listed in a manifest.
+/// One shard listed in a manifest: a v2 journal file.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardInfo {
     /// File name relative to the archive root.
     pub file: String,
-    /// Storage format.
-    pub format: ShardFormat,
     /// Entry count at write time (informational; readers re-count).
     pub n_entries: usize,
     /// Human-readable partition label (`task:<key>` or `window:<k>`).
@@ -173,11 +150,9 @@ impl ShardManifest {
                 .and_then(Json::as_str)
                 .ok_or_else(|| bad("shard missing file"))?
                 .to_string();
-            let format = s
-                .get("format")
-                .and_then(Json::as_str)
-                .and_then(ShardFormat::parse)
-                .ok_or_else(|| bad("shard missing format"))?;
+            if s.get("format").and_then(Json::as_str) != Some(SHARD_FORMAT) {
+                return Err(bad(&format!("shard {file} is not in format v2")));
+            }
             let n_entries = s
                 .get("n_entries")
                 .and_then(Json::as_i64)
@@ -190,7 +165,6 @@ impl ShardManifest {
                 .to_string();
             shards.push(ShardInfo {
                 file,
-                format,
                 n_entries,
                 label,
             });
@@ -211,7 +185,7 @@ impl ShardManifest {
             .map(|s| {
                 Json::Obj(vec![
                     ("file".into(), Json::Str(s.file.clone())),
-                    ("format".into(), Json::Str(s.format.as_str().into())),
+                    ("format".into(), Json::Str(SHARD_FORMAT.into())),
                     ("n_entries".into(), Json::Int(s.n_entries as i64)),
                     ("label".into(), Json::Str(s.label.clone())),
                 ])
@@ -234,14 +208,10 @@ impl ShardManifest {
     }
 }
 
-/// Loads one shard file according to its manifest format. Per-record
-/// drop errors come back stamped with the shard's file name.
+/// Loads one shard file. Per-record drop errors come back stamped with
+/// the shard's file name.
 pub fn load_shard(root: &Path, info: &ShardInfo) -> io::Result<(Vec<DbEntry>, RecoveryReport)> {
-    let path = root.join(&info.file);
-    let (entries, mut report) = match info.format {
-        ShardFormat::Jsonl => journal::load(&path)?,
-        ShardFormat::V2 => journal_v2::load(&path)?,
-    };
+    let (entries, mut report) = journal_v2::load(&root.join(&info.file))?;
     stamp_file(&mut report, &info.file);
     Ok((entries, report))
 }
@@ -357,7 +327,6 @@ pub fn split(
         journal_v2::write(&root.join(&file), problem, sig, group)?;
         shards.push(ShardInfo {
             file,
-            format: ShardFormat::V2,
             n_entries: group.len(),
             label: label.clone(),
         });
@@ -490,7 +459,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(m.shards.len(), 3);
-        assert!(m.shards.iter().all(|s| s.format == ShardFormat::V2));
         assert_eq!(m.shards.iter().map(|s| s.n_entries).sum::<usize>(), 12);
         // Live journal is now an empty write head.
         let (live, _) = journal::load(&live_journal_path(&root, "toy", 0xfeed)).unwrap();
@@ -706,7 +674,6 @@ mod tests {
             policy: "by-task".into(),
             shards: vec![ShardInfo {
                 file: "toy-000000000000feed.shard000.gdb2".into(),
-                format: ShardFormat::V2,
                 n_entries: 3,
                 label: "task:i0".into(),
             }],
@@ -728,27 +695,30 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_shard_format_still_readable() {
-        // A manifest may reference v1 shards (pre-migration archives).
+    fn manifest_entry_with_another_format_is_invalid_data() {
+        // A manifest naming a JSONL shard: readers load v2 shards only, so
+        // the archive fails to load and the error names the shard file.
         let root = tmp_root("v1shard");
-        let entries = vec![rec(0, 1, 1.0), rec(0, 2, 2.0)];
-        let file = "toy-000000000000feed.shard000.jsonl".to_string();
-        journal::append(&root.join(&file), &entries, &LockOptions::default()).unwrap();
-        ShardManifest {
-            problem: "toy".into(),
-            sig: 0xfeed,
-            policy: "window".into(),
-            shards: vec![ShardInfo {
-                file,
-                format: ShardFormat::Jsonl,
-                n_entries: 2,
-                label: "window:0".into(),
-            }],
-        }
-        .save(&root)
+        let file = "toy-000000000000feed.shard000.jsonl";
+        journal::append(
+            &root.join(file),
+            &[rec(0, 1, 1.0), rec(0, 2, 2.0)],
+            &LockOptions::default(),
+        )
         .unwrap();
-        let (all, _) = load_all(&root, "toy", 0xfeed).unwrap();
-        assert_eq!(all.len(), 2);
+        std::fs::write(
+            manifest_path(&root, "toy", 0xfeed),
+            format!(
+                "{{\"v\":1,\"kind\":\"shard-manifest\",\"problem\":\"toy\",\
+                 \"sig\":\"000000000000feed\",\"policy\":\"window\",\"shards\":\
+                 [{{\"file\":\"{file}\",\"format\":\"jsonl\",\"n_entries\":2,\
+                 \"label\":\"window:0\"}}]}}\n"
+            ),
+        )
+        .unwrap();
+        let err = load_all(&root, "toy", 0xfeed).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains(file), "{err}");
         let _ = std::fs::remove_dir_all(&root);
     }
 }

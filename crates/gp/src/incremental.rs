@@ -2,7 +2,7 @@
 //!
 //! The MLA loop refits the LCM surrogate every iteration; from scratch
 //! that is O(n³) per restart and grows cubically with history size. This
-//! module makes refits incremental and bounded:
+//! module makes refits incremental:
 //!
 //! * **Extension** — while hyperparameters are held fixed, each new
 //!   observation extends the stored Cholesky factor with one
@@ -11,19 +11,14 @@
 //! * **Schedule** — hyperparameters are re-optimized (a *full* refit,
 //!   warm-started from the previous optimum) every `full_every`-th update
 //!   or when the per-point NLL drifts past `nll_drift`, whichever first.
-//! * **Cap** — with [`LcmFitOptions::max_active_set`] set, the active
-//!   training set stops growing past the cap: full refits fit a
-//!   farthest-point subset, and incremental updates evict the nearest
-//!   non-incumbent point before admitting a new one, so per-update cost
-//!   is O(cap²) no matter how long the history gets.
-//! * **Snapshot** — [`IncrementalLcm::state`] images an uncapped surrogate
+//! * **Snapshot** — [`IncrementalLcm::state`] images a fitted surrogate
 //!   as its last full fit's hyperparameters plus the outputs it has seen;
 //!   [`IncrementalLcm::restore`] rebuilds it bit for bit from that image
 //!   with one covariance factorization and the tail's extensions, running
 //!   no optimizer.
 //!
 //! Every update is traced as a `gptune.gp.refit` span with a
-//! `mode=full|incremental|capped` field and a per-mode counter, so
+//! `mode=full|incremental` field and a per-mode counter, so
 //! utilization reports show the refit mix.
 //!
 //! The default schedule (`full_every = 1`) reproduces today's
@@ -31,7 +26,7 @@
 //! extension — so existing determinism and resume guarantees hold unless
 //! a caller opts in.
 
-use crate::lcm::{sqdist, DistanceCache, LcmFitOptions, LcmHyperparams, LcmModel};
+use crate::lcm::{DistanceCache, LcmFitOptions, LcmHyperparams, LcmModel};
 use gptune_la::ord::feq;
 
 /// When hyperparameters are re-optimized, vs. extended incrementally.
@@ -80,9 +75,6 @@ pub enum RefitMode {
     Full,
     /// New points appended to the existing factor at fixed hyperparameters.
     Incremental,
-    /// Active set at the cap: evict-nearest + append at fixed
-    /// hyperparameters.
-    Capped,
 }
 
 impl RefitMode {
@@ -91,7 +83,6 @@ impl RefitMode {
         match self {
             RefitMode::Full => "full",
             RefitMode::Incremental => "incremental",
-            RefitMode::Capped => "capped",
         }
     }
 }
@@ -100,10 +91,6 @@ impl RefitMode {
 /// *bit-identically* on restore without re-optimizing: the last full
 /// fit's hyperparameters, which are assembled and factored once over the
 /// prefix that fit saw, and the outputs the tail extensions were given.
-///
-/// Only uncapped models are snapshotted ([`IncrementalLcm::state`]
-/// returns `None` when the active-set cap has engaged, and sessions fall
-/// back to a fresh full refit on restore).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ModelState {
     /// Data length at the last full fit.
@@ -127,8 +114,7 @@ pub struct IncrementalLcm {
     schedule: RefitSchedule,
     model: Option<LcmModel>,
     /// Pairwise distance cache grown in place across full refits. `None`
-    /// until the first fit and whenever the active-set cap engaged (the
-    /// subset fit indexes differently).
+    /// until the first fit.
     cache: Option<DistanceCache>,
     /// Outputs exactly as seen by each update, for prefix-consistency
     /// checks (failure censoring may rewrite old values, which demands a
@@ -204,22 +190,12 @@ impl IncrementalLcm {
                     if let Some(c) = self.cache.as_mut() {
                         c.append(xs);
                     }
-                    self.commit_incremental(y);
+                    self.y_seen = y.to_vec();
+                    self.updates_since_full += 1;
                     RefitMode::Incremental
                 } else {
                     // Numerically non-PSD extension (e.g. duplicate point
                     // under a tiny noise term): fall back to a full refit.
-                    self.full_fit(xs, task_of, y, n_tasks, opts);
-                    RefitMode::Full
-                }
-            }
-            RefitMode::Capped => {
-                let cap = opts.max_active_set.expect("capped without a cap");
-                if self.apply_capped(xs, task_of, y, cap).is_ok() {
-                    self.cache = None;
-                    self.commit_incremental(y);
-                    RefitMode::Capped
-                } else {
                     self.full_fit(xs, task_of, y, n_tasks, opts);
                     RefitMode::Full
                 }
@@ -232,17 +208,15 @@ impl IncrementalLcm {
         match mode {
             RefitMode::Full => tracer.counter("gptune.gp.refit.full"),
             RefitMode::Incremental => tracer.counter("gptune.gp.refit.incremental"),
-            RefitMode::Capped => tracer.counter("gptune.gp.refit.capped"),
         }
         .add(1);
         mode
     }
 
-    /// Snapshot of the incremental state, when one can be restored
-    /// bit-identically (incremental schedule, model present, cap never
-    /// engaged since the last full fit).
+    /// Snapshot of the incremental state: `Some` for every fitted
+    /// surrogate on an incremental schedule.
     pub fn state(&self) -> Option<ModelState> {
-        if !self.schedule.is_incremental() || self.cache.is_none() {
+        if !self.schedule.is_incremental() {
             return None;
         }
         let model = self.model.as_ref()?;
@@ -277,9 +251,6 @@ impl IncrementalLcm {
         let (n, nf) = (xs.len(), state.n_full);
         if nf == 0 || nf > n || state.y.len() != n || task_of.len() != n {
             return Err("incremental restore: inconsistent model state".into());
-        }
-        if opts.max_active_set.is_some_and(|c| c > 0 && n > c) {
-            return Err("incremental restore: capped models are not snapshotted".into());
         }
         if state.y[nf..].iter().any(|v| !v.is_finite())
             || !state.y[..nf].iter().any(|v| v.is_finite())
@@ -374,13 +345,8 @@ impl IncrementalLcm {
                 .add(1);
             return RefitMode::Full;
         }
-        if let Some(cap) = opts.max_active_set {
-            if cap > 0 && model.n_samples() + (n - prev) > cap {
-                return RefitMode::Capped;
-            }
-        }
-        // Uncapped (or under the cap): the model must hold exactly the
-        // seen prefix for a plain extension to be valid.
+        // The model must hold exactly the seen prefix for a plain
+        // extension to be valid.
         if model.n_samples() != prev || model.training_tasks() != &task_of[..prev] {
             return RefitMode::Full;
         }
@@ -410,65 +376,32 @@ impl IncrementalLcm {
         } else {
             None
         };
-        let capped = opts.max_active_set.is_some_and(|c| c > 0 && xs.len() > c);
-        let model = if capped {
-            self.cache = None;
-            LcmModel::fit_impl(xs, task_of, y, n_tasks, opts, warm.as_deref(), None)
-        } else {
-            let reusable = match (&self.model, &self.cache) {
-                (Some(m), Some(c)) => {
-                    c.n() == m.n_samples()
-                        && c.n() <= xs.len()
-                        && m.training_xs().iter().zip(xs).all(|(a, b)| {
-                            a.len() == b.len() && a.iter().zip(b).all(|(u, v)| feq(*u, *v))
-                        })
-                }
-                _ => false,
-            };
-            let cache = if reusable {
-                let mut c = self.cache.take().expect("verified above");
-                c.append(xs);
-                c
-            } else {
-                DistanceCache::build(xs)
-            };
-            let model =
-                LcmModel::fit_impl(xs, task_of, y, n_tasks, opts, warm.as_deref(), Some(&cache));
-            debug_assert_eq!(cache.n(), xs.len());
-            self.cache = Some(cache);
-            model
+        let reusable = match (&self.model, &self.cache) {
+            (Some(m), Some(c)) => {
+                c.n() == m.n_samples()
+                    && c.n() <= xs.len()
+                    && m.training_xs().iter().zip(xs).all(|(a, b)| {
+                        a.len() == b.len() && a.iter().zip(b).all(|(u, v)| feq(*u, *v))
+                    })
+            }
+            _ => false,
         };
+        let cache = if reusable {
+            let mut c = self.cache.take().expect("verified above");
+            c.append(xs);
+            c
+        } else {
+            DistanceCache::build(xs)
+        };
+        let model =
+            LcmModel::fit_impl(xs, task_of, y, n_tasks, opts, warm.as_deref(), Some(&cache));
+        debug_assert_eq!(cache.n(), xs.len());
+        self.cache = Some(cache);
         self.nll_ref = model.nll() / model.n_samples() as f64;
         self.model = Some(model);
         self.y_seen = y.to_vec();
         self.n_full = xs.len();
         self.updates_since_full = 0;
-    }
-
-    /// Capped extension: admit each new point, evicting the nearest
-    /// non-incumbent active point first whenever the set is at the cap.
-    fn apply_capped(
-        &mut self,
-        xs: &[Vec<f64>],
-        task_of: &[usize],
-        y: &[f64],
-        cap: usize,
-    ) -> Result<(), gptune_la::LaError> {
-        let prev = self.y_seen.len();
-        let model = self.model.as_mut().expect("capped without model");
-        for p in prev..xs.len() {
-            if model.n_samples() >= cap.max(2) {
-                let victim = evict_candidate(model, &xs[p]);
-                model.remove(victim);
-            }
-            model.extend(&xs[p..p + 1], &task_of[p..p + 1], &y[p..p + 1])?;
-        }
-        Ok(())
-    }
-
-    fn commit_incremental(&mut self, y: &[f64]) {
-        self.y_seen = y.to_vec();
-        self.updates_since_full += 1;
     }
 }
 
@@ -500,40 +433,6 @@ fn plausible_fit(hp: &LcmHyperparams, n_tasks: usize, dim: usize) -> bool {
             .flatten()
             .chain(&hp.d)
             .all(|&v| within(v, 0.0, 1e12))
-}
-
-/// The active point to evict for a new point at `x`: the nearest one in
-/// input space, never a per-task incumbent (best standardized output).
-/// Deterministic; ties break toward the lowest index.
-fn evict_candidate(model: &LcmModel, x: &[f64]) -> usize {
-    let tasks = model.training_tasks();
-    let ys = model.y_standardized();
-    let n_tasks = model.hyperparams().n_tasks;
-    let mut incumbent = vec![usize::MAX; n_tasks];
-    for (i, (&t, &yv)) in tasks.iter().zip(ys).enumerate() {
-        if incumbent[t] == usize::MAX || yv < ys[incumbent[t]] {
-            incumbent[t] = i;
-        }
-    }
-    let mut protected = vec![false; model.n_samples()];
-    for &i in &incumbent {
-        if i != usize::MAX {
-            protected[i] = true;
-        }
-    }
-    let mut pick = 0;
-    let mut best_d = f64::INFINITY;
-    for (i, xi) in model.training_xs().iter().enumerate() {
-        if protected[i] {
-            continue;
-        }
-        let d = sqdist(xi, x);
-        if d < best_d {
-            best_d = d;
-            pick = i;
-        }
-    }
-    pick
 }
 
 #[cfg(test)]
@@ -631,33 +530,6 @@ mod tests {
     }
 
     #[test]
-    fn capped_updates_hold_the_active_set_at_the_cap() {
-        let (xs, tasks, ys) = toy(12);
-        let cap = 10;
-        let opts = LcmFitOptions {
-            max_active_set: Some(cap),
-            ..fast_opts()
-        };
-        let mut inc = IncrementalLcm::new(RefitSchedule {
-            full_every: 100,
-            nll_drift: 0.0,
-        });
-        let n0 = 8;
-        assert_eq!(
-            inc.update(&xs[..n0], &tasks[..n0], &ys[..n0], 2, &opts),
-            RefitMode::Full
-        );
-        for n in (n0 + 1)..=xs.len() {
-            let mode = inc.update(&xs[..n], &tasks[..n], &ys[..n], 2, &opts);
-            assert_ne!(mode, RefitMode::Full, "n={n}");
-            assert!(inc.model().unwrap().n_samples() <= cap);
-        }
-        assert_eq!(inc.model().unwrap().n_samples(), cap);
-        // Capped state is not snapshotted.
-        assert!(inc.state().is_none());
-    }
-
-    #[test]
     fn state_roundtrips_bit_identically() {
         let (xs, tasks, ys) = toy(10);
         let mut inc = IncrementalLcm::new(RefitSchedule {
@@ -670,7 +542,7 @@ mod tests {
         for n in (n0 + 1)..=xs.len() {
             inc.update(&xs[..n], &tasks[..n], &ys[..n], 2, &opts);
         }
-        let state = inc.state().expect("uncapped incremental state");
+        let state = inc.state().expect("incremental state");
         assert_eq!(state.n_full, n0);
         assert_eq!(state.updates_since_full, 4);
 

@@ -134,12 +134,6 @@ pub struct LcmFitOptions {
     /// distance-cached one. For equivalence tests and before/after
     /// benchmarks only — never faster, never more accurate.
     pub reference_impl: bool,
-    /// Subset-of-data approximation: cap the active training set at this
-    /// many points. When the history exceeds the cap, a farthest-point
-    /// subset (seeded with each task's incumbent) is fitted instead, so
-    /// fit and prediction cost stop growing with history size. `None`
-    /// uses every point (exact).
-    pub max_active_set: Option<usize>,
 }
 
 impl Default for LcmFitOptions {
@@ -156,7 +150,6 @@ impl Default for LcmFitOptions {
             },
             seed: 0,
             reference_impl: false,
-            max_active_set: None,
         }
     }
 }
@@ -255,23 +248,6 @@ impl LcmModel {
         let dim = xs[0].len();
         assert!(xs.iter().all(|x| x.len() == dim));
         let q = opts.q.clamp(1, n_tasks);
-
-        // Subset-of-data approximation: fit on a farthest-point subset when
-        // the history exceeds the cap (the distance cache is over the full
-        // history, so the subset fit rebuilds its own).
-        if let Some(cap) = opts.max_active_set {
-            if cap > 0 && n > cap {
-                let idx = select_active_set(xs, task_of, y, n_tasks, cap);
-                let sub_xs: Vec<Vec<f64>> = idx.iter().map(|&i| xs[i].clone()).collect();
-                let sub_tasks: Vec<usize> = idx.iter().map(|&i| task_of[i]).collect();
-                let sub_y: Vec<f64> = idx.iter().map(|&i| y[i]).collect();
-                let inner = LcmFitOptions {
-                    max_active_set: None,
-                    ..opts.clone()
-                };
-                return Self::fit_impl(&sub_xs, &sub_tasks, &sub_y, n_tasks, &inner, warm, None);
-            }
-        }
 
         let (cleaned, shift, scale) = clean_and_standardize(y);
         let y_std_vals: Vec<f64> = cleaned.iter().map(|v| (v - shift) / scale).collect();
@@ -382,8 +358,7 @@ impl LcmModel {
 
     /// Negative log marginal likelihood of the stored factor (standardized
     /// outputs): right after a fit, the optimizer's best value; after
-    /// [`extend`](Self::extend) or [`remove`](Self::remove), the grown or
-    /// shrunk model's.
+    /// [`extend`](Self::extend), the grown model's.
     pub fn nll(&self) -> f64 {
         self.nll
     }
@@ -411,11 +386,6 @@ impl LcmModel {
     /// Task index of each training sample.
     pub fn training_tasks(&self) -> &[usize] {
         &self.task_of
-    }
-
-    /// Standardized training outputs.
-    pub fn y_standardized(&self) -> &[f64] {
-        &self.y_std_vals
     }
 
     /// The stored Cholesky factor of the training covariance `Σ`.
@@ -620,24 +590,6 @@ impl LcmModel {
         self.alpha = self.chol.solve(&self.y_std_vals);
         self.nll = nll_from_chol(&self.chol, &self.y_std_vals, &self.alpha);
         Ok(())
-    }
-
-    /// Removes one training point, shrinking the stored factor in O(n²)
-    /// via [`Cholesky::remove_row`] (a rank-1 *update* on the trailing
-    /// block, so it cannot fail). Used by the capped incremental path to
-    /// evict a point before admitting a new one.
-    ///
-    /// # Panics
-    /// Panics when `idx` is out of range or the model would become empty.
-    pub fn remove(&mut self, idx: usize) {
-        assert!(idx < self.xs.len(), "LcmModel::remove: index out of range");
-        assert!(self.xs.len() > 1, "LcmModel::remove: would empty the model");
-        self.chol = self.chol.remove_row(idx);
-        self.xs.remove(idx);
-        self.task_of.remove(idx);
-        self.y_std_vals.remove(idx);
-        self.alpha = self.chol.solve(&self.y_std_vals);
-        self.nll = nll_from_chol(&self.chol, &self.y_std_vals, &self.alpha);
     }
 
     /// Posterior prediction for `task` at normalized point `x`
@@ -992,82 +944,6 @@ fn nll_from_chol(chol: &Cholesky, y: &[f64], alpha: &[f64]) -> f64 {
     0.5 * y.iter().zip(alpha).map(|(a, b)| a * b).sum::<f64>()
         + 0.5 * chol.log_det()
         + 0.5 * y.len() as f64 * (2.0 * std::f64::consts::PI).ln()
-}
-
-/// Squared Euclidean distance between two (normalized) input points.
-pub(crate) fn sqdist(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
-}
-
-/// Farthest-point subset selection for the subset-of-data approximation:
-/// seeds with each task's incumbent (best cleaned output), then greedily
-/// adds the point with the largest min-distance to the selected set.
-/// Ties break toward the lowest index; the result is sorted ascending so
-/// the subset preserves data order. Deterministic, O(cap·n·dim).
-fn select_active_set(
-    xs: &[Vec<f64>],
-    task_of: &[usize],
-    y: &[f64],
-    n_tasks: usize,
-    cap: usize,
-) -> Vec<usize> {
-    let n = xs.len();
-    debug_assert!(cap > 0 && cap < n);
-    let (cleaned, _, _) = clean_and_standardize(y);
-    let mut selected = vec![false; n];
-    let mut order: Vec<usize> = Vec::with_capacity(cap);
-    for t in 0..n_tasks {
-        let mut best: Option<usize> = None;
-        for i in 0..n {
-            if task_of[i] == t && best.is_none_or(|b| cleaned[i] < cleaned[b]) {
-                best = Some(i);
-            }
-        }
-        if let Some(i) = best {
-            if order.len() < cap && !selected[i] {
-                selected[i] = true;
-                order.push(i);
-            }
-        }
-    }
-    if order.is_empty() {
-        selected[0] = true;
-        order.push(0);
-    }
-    let mut mind = vec![f64::INFINITY; n];
-    for i in 0..n {
-        if !selected[i] {
-            for &j in &order {
-                let d = sqdist(&xs[i], &xs[j]);
-                if d < mind[i] {
-                    mind[i] = d;
-                }
-            }
-        }
-    }
-    while order.len() < cap {
-        let mut pick: Option<usize> = None;
-        let mut best_d = -1.0;
-        for i in 0..n {
-            if !selected[i] && mind[i] > best_d {
-                best_d = mind[i];
-                pick = Some(i);
-            }
-        }
-        let Some(p) = pick else { break };
-        selected[p] = true;
-        order.push(p);
-        for i in 0..n {
-            if !selected[i] {
-                let d = sqdist(&xs[i], &xs[p]);
-                if d < mind[i] {
-                    mind[i] = d;
-                }
-            }
-        }
-    }
-    order.sort_unstable();
-    order
 }
 
 /// Packed per-pair, per-dimension squared coordinate differences

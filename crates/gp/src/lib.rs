@@ -18,7 +18,7 @@
 //! * [`lcm`] — LCM covariance assembly, likelihood + gradient, prediction
 //!   (paper Eqs. 5–6), and multi-start fitting;
 //! * [`incremental`] — the LCM kept across tuning iterations, extended
-//!   by rank-1 updates between full refits;
+//!   by Cholesky row appends between full refits;
 //! * [`gp`] — the acquisition functions the search phase maximizes (EI,
 //!   LCB, PI) over a posterior [`Prediction`].
 //!

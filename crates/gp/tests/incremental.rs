@@ -1,30 +1,28 @@
 //! Equivalence harness for the incremental LCM refit path.
 //!
-//! The incremental PR extends the stored Cholesky factor one
-//! cross-covariance column at a time ([`LcmModel::extend`]) instead of
-//! refactoring, and caps the active set with a farthest-point subset
-//! (`LcmFitOptions::max_active_set`). These tests pin that machinery:
+//! Between full refits the surrogate extends its stored Cholesky factor
+//! one cross-covariance column at a time ([`LcmModel::extend`]) instead of
+//! refactoring. These tests pin that machinery:
 //!
 //! * ≥64 sequential single-point appends stay within 1e-10 (relative) of
 //!   a from-scratch rebuild at the same hyperparameters — predictions
 //!   (mean and variance) and factor-based NLL, checked after *every*
 //!   append, not just the last;
-//! * remove∘extend round-trips: evicting a point and re-admitting it
-//!   reproduces the original posterior (the training set is the same,
-//!   only the factor's row order differs);
-//! * the capped active set approximates a known smooth surface within a
-//!   fixed tolerance while holding `n_samples` at the cap;
 //! * `loo_diagnostics` and `covariance_condition_number` stay finite on
 //!   degenerate (duplicate-x) histories — the jitter path must absorb
 //!   the singularity rather than leak NaNs into diagnostics;
 //! * a surrogate restored from its `ModelState` image mid incremental
 //!   cycle is bit-identical to the live one (factor, α, NLL, batched
 //!   predictions), takes the same refit modes afterwards, and runs no fit
-//!   while restoring.
+//!   while restoring;
+//! * every update on an incremental schedule — full, incremental, an
+//!   exact duplicate point, the schedule's next full refit — leaves an
+//!   image that restores that way.
 
 use gptune_gp::{IncrementalLcm, KernelKind, LcmFitOptions, LcmModel, RefitMode, RefitSchedule};
 use gptune_rng::{Rng, SeedableRng, StdRng};
 use gptune_trace::{TraceData, Tracer};
+use std::sync::{Mutex, PoisonError};
 
 /// Relative difference scaled by magnitude (and safe at zero).
 fn rel(a: f64, b: f64) -> f64 {
@@ -168,40 +166,6 @@ fn batched_extension_matches_one_at_a_time() {
 }
 
 #[test]
-fn remove_then_extend_round_trips_the_posterior() {
-    let (xs, task_of, y) = synth(60, 2, 2, 17);
-    let opts = LcmFitOptions {
-        n_starts: 1,
-        seed: 1,
-        ..Default::default()
-    };
-    let base = LcmModel::fit(&xs, &task_of, &y, 2, &opts);
-    // Evict an interior point, then re-admit it: same training set, so
-    // the posterior must match even though the factor's row order moved.
-    let idx = 23;
-    let mut model = base.clone();
-    model.remove(idx);
-    assert_eq!(model.n_samples(), xs.len() - 1);
-    model
-        .extend(&xs[idx..idx + 1], &task_of[idx..idx + 1], &y[idx..idx + 1])
-        .expect("re-extend");
-    assert!(rel(model.nll(), base.nll()) < 1e-10);
-    for t in 0..2 {
-        for p in probe_points(2, 29) {
-            let a = model.predict(t, &p);
-            let b = base.predict(t, &p);
-            assert!(
-                rel(a.mean, b.mean) < 1e-10,
-                "task={t}: mean {} vs {}",
-                a.mean,
-                b.mean
-            );
-            assert!(rel(a.variance, b.variance) < 1e-10);
-        }
-    }
-}
-
-#[test]
 fn duplicate_point_extension_fails_typed_and_full_refit_recovers() {
     let (xs, task_of, y) = synth(50, 2, 2, 23);
     let opts = LcmFitOptions {
@@ -241,47 +205,6 @@ fn duplicate_point_extension_fails_typed_and_full_refit_recovers() {
     let p = m.predict(0, &xs[10]);
     assert!(p.mean.is_finite() && p.variance.is_finite() && p.variance >= 0.0);
     assert!(mode == RefitMode::Full || mode == RefitMode::Incremental);
-}
-
-#[test]
-fn capped_active_set_approximates_a_known_surface() {
-    // Known smooth surface, 1-D, two related tasks.
-    let f = |x: f64, t: usize| (2.0 * std::f64::consts::PI * x).sin() + 0.3 * t as f64;
-    let n = 240;
-    let cap = 96;
-    let mut xs = Vec::new();
-    let mut task_of = Vec::new();
-    let mut y = Vec::new();
-    for i in 0..n {
-        let t = i % 2;
-        let x = (i as f64 + 0.5) / n as f64;
-        xs.push(vec![x]);
-        task_of.push(t);
-        y.push(f(x, t));
-    }
-    let capped_opts = LcmFitOptions {
-        n_starts: 2,
-        seed: 4,
-        max_active_set: Some(cap),
-        ..Default::default()
-    };
-    let model = LcmModel::fit(&xs, &task_of, &y, 2, &capped_opts);
-    // The cap binds: the active set stops growing with history size.
-    assert_eq!(model.n_samples(), cap);
-    // Fixed-tolerance approximation error on a dense evaluation grid.
-    let mut sq = 0.0;
-    let mut m = 0;
-    for t in 0..2usize {
-        for j in 0..50 {
-            let x = (j as f64 + 0.5) / 50.0;
-            let p = model.predict(t, &[x]);
-            assert!(p.mean.is_finite() && p.variance.is_finite());
-            sq += (p.mean - f(x, t)) * (p.mean - f(x, t));
-            m += 1;
-        }
-    }
-    let rmse = (sq / m as f64).sqrt();
-    assert!(rmse < 0.15, "capped rmse {rmse}");
 }
 
 #[test]
@@ -377,8 +300,13 @@ fn my_span_names(data: &TraceData) -> Vec<String> {
         .collect()
 }
 
+/// Held by each test that installs its own global tracer, so one test's
+/// drain never takes the other's spans.
+static TRACER: Mutex<()> = Mutex::new(());
+
 #[test]
 fn restore_from_image_is_bit_identical_and_runs_no_fit() {
+    let _serial = TRACER.lock().unwrap_or_else(PoisonError::into_inner);
     let (n_tasks, dim) = (3, 2);
     let (xs, task_of, y) = synth(30, dim, n_tasks, 1);
     let probes = probe_points(dim, 11);
@@ -401,7 +329,7 @@ fn restore_from_image_is_bit_identical_and_runs_no_fit() {
         let got = live.update(&xs[..n], &task_of[..n], &y[..n], n_tasks, &opts(k as u64));
         assert_eq!(got, mode, "live update {k}");
     }
-    let image = live.state().expect("uncapped incremental state");
+    let image = live.state().expect("incremental state");
     assert_eq!((image.n_full, image.updates_since_full), (n0, 2));
 
     let prev = gptune_trace::install(Tracer::ring(1 << 14));
@@ -449,4 +377,60 @@ fn restore_from_image_is_bit_identical_and_runs_no_fit() {
         .filter(|s| s == "gptune.gp.fit")
         .count();
     assert_eq!(fits, 2);
+}
+
+#[test]
+fn every_update_leaves_an_image_that_restores_bit_identically() {
+    let _serial = TRACER.lock().unwrap_or_else(PoisonError::into_inner);
+    let (n_tasks, dim) = (3, 2);
+    let (mut xs, mut task_of, mut y) = synth(36, dim, n_tasks, 1);
+    let n0 = 24;
+    // The third update appends an exact duplicate of point 10 (input,
+    // task and output), whose extension is numerically singular.
+    xs.insert(n0 + 2, xs[10].clone());
+    task_of.insert(n0 + 2, task_of[10]);
+    y.insert(n0 + 2, y[10]);
+    let probes = probe_points(dim, 11);
+    let opts = |k: u64| LcmFitOptions {
+        n_starts: 2,
+        seed: 100 + k,
+        ..Default::default()
+    };
+    let schedule = RefitSchedule::every(4);
+    let mut live = IncrementalLcm::new(schedule);
+    let prev = gptune_trace::install(Tracer::ring(1 << 14));
+    let mut modes = Vec::new();
+    let mut scheduled_full = false;
+    // One point per update until the schedule's full refit, which follows
+    // `full_every − 1` extensions in a row.
+    for (k, n) in (n0..=xs.len()).enumerate() {
+        let due = live.updates_since_full() + 1 >= schedule.full_every;
+        let mode = live.update(&xs[..n], &task_of[..n], &y[..n], n_tasks, &opts(k as u64));
+        modes.push(mode);
+        let image = live
+            .state()
+            .unwrap_or_else(|| panic!("update {k} ({mode:?}) left no image"));
+        gptune_trace::global().drain();
+        let mut back = IncrementalLcm::new(schedule);
+        back.restore(&xs[..n], &task_of[..n], n_tasks, &opts(99), &image)
+            .unwrap_or_else(|e| panic!("update {k} ({mode:?}): {e}"));
+        let spans = my_span_names(&gptune_trace::global().drain());
+        assert!(
+            !spans.iter().any(|s| s == "gptune.gp.fit"),
+            "restore after update {k} ({mode:?}) ran a fit: {spans:?}"
+        );
+        assert_eq!(
+            model_bits(back.model().unwrap(), n_tasks, &probes),
+            model_bits(live.model().unwrap(), n_tasks, &probes),
+            "restore after update {k} ({mode:?}) differs from the live surrogate"
+        );
+        if due {
+            assert_eq!(mode, RefitMode::Full, "update {k} was due a full refit");
+            scheduled_full = true;
+            break;
+        }
+    }
+    gptune_trace::install(prev);
+    assert_eq!(modes[..2], [RefitMode::Full, RefitMode::Incremental]);
+    assert!(scheduled_full, "no scheduled full refit in {modes:?}");
 }

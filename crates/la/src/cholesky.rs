@@ -218,124 +218,6 @@ impl Cholesky {
         m
     }
 
-    /// Rank-1 update: returns the factor of `A + v vᵀ` in O(n²).
-    ///
-    /// Uses the Givens-rotation sweep in a row-major friendly loop order:
-    /// each row of `L` is rewritten once, left to right, carrying the
-    /// partially rotated `x[i]` through the already-computed rotations. The
-    /// update direction is unconditionally positive definite, so unlike
-    /// [`Cholesky::rank1_downdate`] this cannot fail.
-    pub fn rank1_update(&self, v: &[f64]) -> Cholesky {
-        let n = self.dim();
-        assert_eq!(v.len(), n, "rank1_update: vector length mismatch");
-        let mut l = self.l.clone();
-        let mut x = v.to_vec();
-        rank1_update_lower(&mut l, 0, &mut x);
-        Cholesky {
-            l,
-            jitter: self.jitter,
-        }
-    }
-
-    /// Scalar column-sweep rank-1 update (classic LINPACK `cholupdate`
-    /// ordering). Retained as the reference baseline for
-    /// [`Cholesky::rank1_update`], matching the factor/inverse pattern.
-    pub fn rank1_update_reference(&self, v: &[f64]) -> Cholesky {
-        let n = self.dim();
-        assert_eq!(v.len(), n, "rank1_update_reference: vector length mismatch");
-        let mut l = self.l.clone();
-        let mut x = v.to_vec();
-        for k in 0..n {
-            let d = l.get(k, k);
-            let r = (d * d + x[k] * x[k]).sqrt();
-            let c = r / d;
-            let s = x[k] / d;
-            l.set(k, k, r);
-            for i in (k + 1)..n {
-                let lik = (l.get(i, k) + s * x[i]) / c;
-                x[i] = c * x[i] - s * lik;
-                l.set(i, k, lik);
-            }
-        }
-        Cholesky {
-            l,
-            jitter: self.jitter,
-        }
-    }
-
-    /// Rank-1 downdate: returns the factor of `A − v vᵀ` in O(n²).
-    ///
-    /// The downdated matrix is only positive definite when `vᵀ A⁻¹ v < 1`;
-    /// when the residual pivot goes non-positive (or non-finite — NaN input
-    /// takes this path too) the error is the typed
-    /// [`LaError::NotPositiveDefinite`] with the failing pivot, and `self`
-    /// is untouched. Callers fall back to a from-scratch factorization.
-    pub fn rank1_downdate(&self, v: &[f64]) -> Result<Cholesky> {
-        let n = self.dim();
-        assert_eq!(v.len(), n, "rank1_downdate: vector length mismatch");
-        let mut l = self.l.clone();
-        let mut x = v.to_vec();
-        let mut c = vec![0.0; n];
-        let mut s = vec![0.0; n];
-        for i in 0..n {
-            let row = l.row_mut(i);
-            let mut xi = x[i];
-            for j in 0..i {
-                let lij = (row[j] - s[j] * xi) / c[j];
-                xi = c[j] * xi - s[j] * lij;
-                row[j] = lij;
-            }
-            let d = row[i];
-            let r2 = d * d - xi * xi;
-            if !(r2 > 0.0) || !r2.is_finite() {
-                return Err(LaError::NotPositiveDefinite { pivot: i });
-            }
-            let r = r2.sqrt();
-            c[i] = r / d;
-            s[i] = xi / d;
-            row[i] = r;
-            x[i] = xi;
-        }
-        Ok(Cholesky {
-            l,
-            jitter: self.jitter,
-        })
-    }
-
-    /// Scalar column-sweep rank-1 downdate. Reference baseline for
-    /// [`Cholesky::rank1_downdate`]; the non-PSD failure path is typed the
-    /// same way.
-    pub fn rank1_downdate_reference(&self, v: &[f64]) -> Result<Cholesky> {
-        let n = self.dim();
-        assert_eq!(
-            v.len(),
-            n,
-            "rank1_downdate_reference: vector length mismatch"
-        );
-        let mut l = self.l.clone();
-        let mut x = v.to_vec();
-        for k in 0..n {
-            let d = l.get(k, k);
-            let r2 = d * d - x[k] * x[k];
-            if !(r2 > 0.0) || !r2.is_finite() {
-                return Err(LaError::NotPositiveDefinite { pivot: k });
-            }
-            let r = r2.sqrt();
-            let c = r / d;
-            let s = x[k] / d;
-            l.set(k, k, r);
-            for i in (k + 1)..n {
-                let lik = (l.get(i, k) - s * x[i]) / c;
-                x[i] = c * x[i] - s * lik;
-                l.set(i, k, lik);
-            }
-        }
-        Ok(Cholesky {
-            l,
-            jitter: self.jitter,
-        })
-    }
-
     /// Row-append extension: given this factor of `K_n` and the new
     /// cross-covariance column `k` plus self-covariance `kappa`, returns the
     /// factor of the bordered matrix `[[K_n, k], [kᵀ, kappa]]` in O(n²)
@@ -401,35 +283,6 @@ impl Cholesky {
         })
     }
 
-    /// Removes row/column `idx`, returning the factor of the principal
-    /// submatrix of `A` with that index deleted, in O((n−idx)²).
-    ///
-    /// Rows above `idx` are unchanged; the trailing block absorbs the
-    /// deleted column by a rank-1 *update* (`L₃₃'L₃₃'ᵀ = L₃₃L₃₃ᵀ + l₃₂l₃₂ᵀ`),
-    /// which is unconditionally positive definite, so removal cannot fail.
-    /// This is the eviction half of the capped active-set swap.
-    pub fn remove_row(&self, idx: usize) -> Cholesky {
-        let n = self.dim();
-        assert!(idx < n, "remove_row: index out of bounds");
-        let mut l = Matrix::zeros(n - 1, n - 1);
-        for i in 0..idx {
-            l.row_mut(i)[..=i].copy_from_slice(&self.l.row(i)[..=i]);
-        }
-        let mut x = vec![0.0; n - 1 - idx];
-        for i in (idx + 1)..n {
-            let src = self.l.row(i);
-            let dst = l.row_mut(i - 1);
-            dst[..idx].copy_from_slice(&src[..idx]);
-            dst[idx..i].copy_from_slice(&src[idx + 1..=i]);
-            x[i - 1 - idx] = src[idx];
-        }
-        rank1_update_lower(&mut l, idx, &mut x);
-        Cholesky {
-            l,
-            jitter: self.jitter,
-        }
-    }
-
     /// Pre-vectorization explicit inverse: identical structure to
     /// [`Cholesky::inverse`] but reduced with the strict sequential
     /// [`crate::blas::dot_reference`] fold. Retained as the baseline for the
@@ -448,35 +301,6 @@ impl Cholesky {
             }
         }
         inv
-    }
-}
-
-/// In-place rank-1 update of the trailing lower-triangular block
-/// `l[k0.., k0..]` with `x` (length `n − k0`): after the call the block
-/// factors `A₂₂ + x xᵀ`. Row-sweep loop order — each row is rewritten once,
-/// stride-1, carrying the partially rotated `x[i]` through the rotations of
-/// the columns to its left — so the access pattern matches the row-major
-/// storage instead of striding down columns.
-fn rank1_update_lower(l: &mut Matrix, k0: usize, x: &mut [f64]) {
-    let n = l.rows();
-    debug_assert_eq!(x.len(), n - k0);
-    let m = n - k0;
-    let mut c = vec![0.0; m];
-    let mut s = vec![0.0; m];
-    for i in k0..n {
-        let row = &mut l.row_mut(i)[k0..];
-        let mut xi = x[i - k0];
-        for j in 0..(i - k0) {
-            let lij = (row[j] + s[j] * xi) / c[j];
-            xi = c[j] * xi - s[j] * lij;
-            row[j] = lij;
-        }
-        let d = row[i - k0];
-        let r = (d * d + xi * xi).sqrt();
-        c[i - k0] = r / d;
-        s[i - k0] = xi / d;
-        row[i - k0] = r;
-        x[i - k0] = xi;
     }
 }
 
@@ -727,66 +551,6 @@ mod tests {
     }
 
     #[test]
-    fn rank1_update_matches_refactorization() {
-        let a = spd(20);
-        let c = Cholesky::factor(&a).unwrap();
-        let v: Vec<f64> = (0..20)
-            .map(|i| ((i * 13 + 5) % 7) as f64 / 7.0 - 0.4)
-            .collect();
-        let up = c.rank1_update(&v);
-        let mut avv = a.clone();
-        for i in 0..20 {
-            for j in 0..20 {
-                avv.set(i, j, avv.get(i, j) + v[i] * v[j]);
-            }
-        }
-        let direct = Cholesky::factor(&avv).unwrap();
-        let diff = max_l_diff(&up, &direct);
-        assert!(diff < 1e-10, "update vs refactor max diff {diff}");
-        let rdiff = max_l_diff(&up, &c.rank1_update_reference(&v));
-        assert!(rdiff < 1e-12, "update vs reference max diff {rdiff}");
-    }
-
-    #[test]
-    fn downdate_update_round_trips() {
-        let a = spd(24);
-        let c = Cholesky::factor(&a).unwrap();
-        let v: Vec<f64> = (0..24).map(|i| ((i * 7 + 3) % 11) as f64 / 11.0).collect();
-        let round = c.rank1_update(&v).rank1_downdate(&v).unwrap();
-        let diff = max_l_diff(&round, &c);
-        assert!(diff < 1e-10, "round-trip max diff {diff}");
-        let rref = c
-            .rank1_update_reference(&v)
-            .rank1_downdate_reference(&v)
-            .unwrap();
-        let rdiff = max_l_diff(&rref, &c);
-        assert!(rdiff < 1e-10, "reference round-trip max diff {rdiff}");
-    }
-
-    #[test]
-    fn downdate_non_psd_residual_is_typed() {
-        // Subtracting 2·a₀a₀ᵀ where a₀ is scaled to dominate makes the
-        // residual indefinite; the failure must surface as the typed error,
-        // never a panic, and must leave the receiver usable.
-        let a = spd(6);
-        let c = Cholesky::factor(&a).unwrap();
-        let big: Vec<f64> = (0..6).map(|i| a.get(i, 0) * 10.0).collect();
-        assert!(matches!(
-            c.rank1_downdate(&big),
-            Err(LaError::NotPositiveDefinite { .. })
-        ));
-        assert!(matches!(
-            c.rank1_downdate_reference(&big),
-            Err(LaError::NotPositiveDefinite { .. })
-        ));
-        // NaN input takes the same typed path (GX101 idiom: !(d > 0.0)).
-        let nan = vec![f64::NAN; 6];
-        assert!(c.rank1_downdate(&nan).is_err());
-        // Receiver untouched: solve still works.
-        let _ = c.solve(&[1.0; 6]);
-    }
-
-    #[test]
     fn extend_row_matches_bordered_factorization() {
         let n = 30;
         let a = spd(n + 1);
@@ -818,41 +582,6 @@ mod tests {
         ));
         assert!(c.extend_row_reference(&col, a.get(0, 0)).is_err());
         assert_eq!(c.dim(), 5);
-    }
-
-    #[test]
-    fn remove_row_matches_submatrix_factorization() {
-        let n = 18;
-        let a = spd(n);
-        let c = Cholesky::factor(&a).unwrap();
-        for idx in [0, 7, n - 1] {
-            let removed = c.remove_row(idx);
-            let mut sub = Matrix::zeros(n - 1, n - 1);
-            for i in 0..n - 1 {
-                let si = if i < idx { i } else { i + 1 };
-                for j in 0..n - 1 {
-                    let sj = if j < idx { j } else { j + 1 };
-                    sub.set(i, j, a.get(si, sj));
-                }
-            }
-            let direct = Cholesky::factor(&sub).unwrap();
-            let diff = max_l_diff(&removed, &direct);
-            assert!(diff < 1e-10, "remove idx {idx} max diff {diff}");
-        }
-    }
-
-    #[test]
-    fn remove_then_extend_round_trips_last_row() {
-        let n = 12;
-        let a = spd(n);
-        let c = Cholesky::factor(&a).unwrap();
-        let col: Vec<f64> = (0..n - 1).map(|i| a.get(n - 1, i)).collect();
-        let back = c
-            .remove_row(n - 1)
-            .extend_row(&col, a.get(n - 1, n - 1))
-            .unwrap();
-        let diff = max_l_diff(&back, &c);
-        assert!(diff < 1e-10, "remove/extend round-trip max diff {diff}");
     }
 
     #[test]

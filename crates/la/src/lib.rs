@@ -11,7 +11,7 @@
 //! * [`blas`] — sequential level-1/2/3 kernels (`dot`, `axpy`, `gemv`,
 //!   `gemm`).
 //! * [`cholesky`] — one column-panel Cholesky kernel with solves,
-//!   log-determinant, inverse, rank-1 updates, and jittered retry for
+//!   log-determinant, inverse, row-append extension, and jittered retry for
 //!   nearly-singular covariances.
 //! * [`lu`] — partial-pivoting LU with solves.
 //! * [`par`] — the std-only fork-join regions the tuner's modeling and

@@ -46,8 +46,8 @@ fn gx1xx_covers_rank1_cholesky_kernel_shapes() {
     assert_eq!(rules, vec!["GX101", "GX101", "GX103"]);
     // ...while the shipped kernel idiom — the NaN-robust `!(r2 > 0.0)`
     // guard returning a typed NotPositiveDefinite error (never an
-    // unwrap), total_cmp victim selection — lints completely clean. This
-    // is the exact shape `rank1_downdate`/`evict_candidate` use.
+    // unwrap), total_cmp victim selection — lints completely clean. The
+    // guard is the shape `Cholesky::extend_row` uses.
     let rules = rules_at("gx1xx_rank1_cholesky_clean.rs", "crates/la/src/cholesky.rs");
     assert!(rules.is_empty(), "clean kernel idiom fired: {rules:?}");
 }

@@ -5,30 +5,26 @@
 //! cargo run --example db_tool -- merge      <dst-archive> <src-archive>
 //! cargo run --example db_tool -- compact    <archive>
 //! cargo run --example db_tool -- shard      <archive> <journal.jsonl> by-task|window:<n>
-//! cargo run --example db_tool -- migrate-v2 <archive> <journal.jsonl>
 //! cargo run --example db_tool -- export     <archive> <journal.jsonl>
 //! ```
 //!
 //! * `inspect` — per-journal entry counts and recovery health, archived
 //!   run summaries with their `stats:` breakdown, in-flight checkpoints,
-//!   and — for sharded problems — the manifest with per-shard format,
-//!   label, and entry counts plus the deduplicated combined total;
+//!   and — for sharded problems — the manifest with per-shard label and
+//!   entry counts plus the deduplicated combined total;
 //! * `merge` — folds every problem of a second archive into the first.
 //!   Shard-aware on both sides: the source's shards and live journal are
 //!   read together, and entries already present anywhere in the
 //!   destination (shards or live journal) are skipped;
 //! * `compact` — deduplicates and heals every live journal in place,
 //!   dropping entries the problem's archive shards already hold;
-//! * `shard` — splits one problem's accumulated history into archive
-//!   shards (task-range `by-task` or append-order `window:<n>`), writes
-//!   the manifest, and empties the live journal;
-//! * `migrate-v2` — rewrites a JSONL journal as a compressed binary
-//!   format-v2 archive next to it, then *proves* the round-trip: the v2
-//!   file is read back and must reproduce the v1 entries identically, or
-//!   the command fails and removes the output;
+//! * `shard` — splits one problem's accumulated history into compressed
+//!   binary (format v2) archive shards (task-range `by-task` or
+//!   append-order `window:<n>`), writes the manifest, and empties the
+//!   live journal;
 //! * `export` — prints a journal's evaluation records as CSV on stdout.
 
-use gptune::db::{journal, journal_v2, Db, DbEntry, DbValue, ShardPolicy};
+use gptune::db::{journal, Db, DbEntry, DbValue, ShardPolicy};
 use std::path::Path;
 
 fn main() {
@@ -39,7 +35,6 @@ fn main() {
         ["merge", dst, src] => merge(Path::new(dst), Path::new(src)),
         ["compact", archive] => compact(Path::new(archive)),
         ["shard", archive, journal, policy] => shard(Path::new(archive), journal, policy),
-        ["migrate-v2", archive, journal] => migrate_v2(Path::new(archive), journal),
         ["export", archive, journal] => export(Path::new(archive), journal),
         _ => {
             eprintln!(
@@ -47,7 +42,6 @@ fn main() {
                  \u{20}      db_tool merge <dst-archive> <src-archive>\n\
                  \u{20}      db_tool compact <archive>\n\
                  \u{20}      db_tool shard <archive> <journal.jsonl> by-task|window:<n>\n\
-                 \u{20}      db_tool migrate-v2 <archive> <journal.jsonl>\n\
                  \u{20}      db_tool export <archive> <journal.jsonl>"
             );
             std::process::exit(2);
@@ -127,8 +121,8 @@ fn inspect(root: &Path) -> std::io::Result<()> {
                 );
                 for info in &manifest.shards {
                     println!(
-                        "      {}: {} entries  [{:?} {}]",
-                        info.file, info.n_entries, info.format, info.label
+                        "      {}: {} entries  [{}]",
+                        info.file, info.n_entries, info.label
                     );
                 }
                 let (all, _) = db.load(&problem, sig)?;
@@ -230,51 +224,10 @@ fn shard(root: &Path, journal_name: &str, policy_arg: &str) -> std::io::Result<(
     );
     for info in &manifest.shards {
         println!(
-            "  {}: {} entries  [{:?} {}]",
-            info.file, info.n_entries, info.format, info.label
+            "  {}: {} entries  [{}]",
+            info.file, info.n_entries, info.label
         );
     }
-    Ok(())
-}
-
-fn migrate_v2(root: &Path, journal_name: &str) -> std::io::Result<()> {
-    let Some((problem, sig)) = parse_journal_name(journal_name) else {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            format!("unrecognized journal name {journal_name:?}"),
-        ));
-    };
-    let src = root.join(journal_name);
-    let (entries, report) = journal::load(&src)?;
-    if !report.is_clean() {
-        eprintln!("  note: source journal needed recovery; migrating the recoverable entries");
-    }
-    let dst = root.join(format!("{}.gdb2", journal_name.trim_end_matches(".jsonl")));
-    journal_v2::write(&dst, &problem, sig, &entries)?;
-    // Round-trip identity check: the binary archive must reproduce the
-    // JSONL entries exactly, or the migration is rejected.
-    let (back, _) = journal_v2::load(&dst)?;
-    if back != entries {
-        let _ = std::fs::remove_file(&dst);
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "round-trip mismatch: v2 archive does not reproduce the journal; output removed",
-        ));
-    }
-    let (src_len, dst_len) = (
-        std::fs::metadata(&src)?.len(),
-        std::fs::metadata(&dst)?.len(),
-    );
-    println!(
-        "migrated {} entries: {} ({} B) -> {} ({} B, {:.1}% of v1), round-trip verified",
-        entries.len(),
-        journal_name,
-        src_len,
-        dst.file_name().unwrap().to_string_lossy(),
-        dst_len,
-        100.0 * dst_len as f64 / src_len.max(1) as f64
-    );
-    println!("  (source journal left in place; remove it once the archive is adopted)");
     Ok(())
 }
 

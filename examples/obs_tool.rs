@@ -252,14 +252,13 @@ fn render(addr: &str, snap: &MetricsSnapshot) -> u64 {
 
     let full = snap.counter("gptune.gp.refit.full").unwrap_or(0);
     let incr = snap.counter("gptune.gp.refit.incremental").unwrap_or(0);
-    let capped = snap.counter("gptune.gp.refit.capped").unwrap_or(0);
     let drift = snap.counter("gptune.gp.nll_drift_events").unwrap_or(0);
     let censored = snap.counter("gptune.core.evals_censored").unwrap_or(0);
     let reports = snap
         .histogram("gptune.serve.latency_us.report")
         .map_or(0, |h| h.count);
     println!("\nmodel health:");
-    println!("  refits          {full} full / {incr} incremental / {capped} capped");
+    println!("  refits          {full} full / {incr} incremental");
     println!("  nll drift       {drift} events");
     println!(
         "  censored evals  {censored} ({:.1}% of {reports} reports)",

@@ -212,7 +212,7 @@ fn summarize(path: &str, chrome_out: Option<&str>) -> i32 {
     // --- Surrogate refit mix ---
     // The per-mode counters from `gptune.gp.refit` spans: how often the
     // tuner paid a full hyperparameter re-optimization vs. an O(n²)
-    // incremental factor extension vs. a capped active-set update.
+    // incremental factor extension.
     let refit_total: u64 = counters
         .iter()
         .filter(|(n, _)| n.starts_with("gptune.gp.refit."))
@@ -220,7 +220,7 @@ fn summarize(path: &str, chrome_out: Option<&str>) -> i32 {
         .sum();
     if refit_total > 0 {
         println!("surrogate refits:");
-        for mode in ["full", "incremental", "capped"] {
+        for mode in ["full", "incremental"] {
             let name = format!("gptune.gp.refit.{mode}");
             let v = counters
                 .iter()

@@ -7,8 +7,8 @@
 #                        plus Cholesky, 5-task LCM, acquisition and
 #                        small-n parallel fit (width 1 vs nproc) rows
 #   * lcm_scale       -> BENCH_lcm_scale.json       incremental extension vs
-#                        from-scratch rebuild (>= 5x at n = 4096), capped
-#                        active-set fit and predict cost across n
+#                        from-scratch rebuild across n (>= 5x at
+#                        n = 4096)
 #   * trace_overhead  -> BENCH_trace_overhead.json  tracing-enabled vs
 #                        disabled overhead guard (<= 3%), plus the
 #                        rolling-window metrics arm (windowed vs plain

@@ -21,11 +21,11 @@ cargo test --offline --locked -q --workspace
 # pre-refactor references to ≤ 1e-12 under the optimizer's reassociations.
 cargo test --offline --locked -q --release -p gptune-gp --test equivalence
 # Incremental-LCM equivalence smoke in release mode: 64 sequential rank-1
-# extensions must match a from-scratch rebuild to ≤ 1e-10, downdate∘update
-# must round-trip the factor, the capped (subset-of-data) posterior must
-# stay within its fixed tolerance, and a surrogate restored from its
-# ModelState image mid incremental cycle must be bit-identical to the live
-# one without running a fit -- see crates/gp/tests/incremental.rs.
+# row extensions must match a from-scratch rebuild to ≤ 1e-10, and the
+# ModelState image left by every update of an incremental schedule (full,
+# incremental, duplicate point, the next scheduled full refit) must restore
+# a surrogate bit-identical to the live one without running a fit -- see
+# crates/gp/tests/incremental.rs.
 cargo test --offline --locked -q --release -p gptune-gp --test incremental
 cargo fmt --all -- --check
 # Clippy also carries the panic-freedom policy: runtime and db deny
@@ -72,6 +72,23 @@ cli_out="$(cargo run --offline --locked -q --release --bin gptune-cli -- tune --
 if ! echo "$cli_out" | grep -q 'archived evals: 6$'; then
   echo "cli smoke: expected 'archived evals: 6' in the runlog" >&2
   echo "$cli_out" >&2
+  exit 1
+fi
+# Shard smoke gate: `db_tool shard ... by-task` must split that archive
+# into v2 shards (one for the task's 6 evals, one for the run summary) that
+# `db_tool inspect` reads back as all 7 entries.
+cli_journals=("$trace_dir"/cli_db/*.jsonl)
+if [ "${#cli_journals[@]}" -ne 1 ] || [ ! -f "${cli_journals[0]}" ]; then
+  echo "shard smoke: expected one journal in the CLI archive, got ${cli_journals[*]}" >&2
+  exit 1
+fi
+cargo run --offline --locked -q --release --example db_tool -- shard "$trace_dir/cli_db" \
+  "$(basename "${cli_journals[0]}")" by-task
+inspect_out="$(cargo run --offline --locked -q --release --example db_tool -- inspect "$trace_dir/cli_db")"
+if ! echo "$inspect_out" | grep -qF 'sharded (by-task policy, 2 shards)' ||
+  ! echo "$inspect_out" | grep -qF 'combined (deduplicated): 7 entries'; then
+  echo "shard smoke: expected 2 by-task shards holding 7 entries" >&2
+  echo "$inspect_out" >&2
   exit 1
 fi
 # Serve smoke gate: a scaled-down serve_bench burst (32 concurrent
